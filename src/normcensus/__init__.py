@@ -17,10 +17,8 @@ from .arith import (
 )
 from .quadfield import FieldData, QuadElem, field_data
 from .classgroup import (
-    Character,
     Form,
     NarrowClassGroup,
-    characters,
     class_group,
     compose,
     frobenius_class,
@@ -73,10 +71,8 @@ __all__ = [
     "FieldData",
     "QuadElem",
     "field_data",
-    "Character",
     "Form",
     "NarrowClassGroup",
-    "characters",
     "class_group",
     "compose",
     "frobenius_class",

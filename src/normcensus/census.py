@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import Factorization, factorize, kronecker, sqrt_mod_prime_power
-from .classgroup import NarrowClassGroup, characters, class_group, frobenius_class, sign_class
-from .cyclotomic import CycInt
+from .classgroup import class_group, frobenius_class, sign_class
 from .quadfield import FieldData, field_data
 
 
@@ -78,45 +76,45 @@ def classify_primes(spec: EquationSpec) -> list[PrimeClassification]:
     return out
 
 
-def delta_p(n: int, zeta_exp: int, e: int) -> CycInt:
-    """Local character factor sum_{j=0}^{e} zeta^(2j - e), zeta = zeta_n^zeta_exp."""
-    out = CycInt.zero(n)
-    for j in range(e + 1):
-        out = out + CycInt.root(n, zeta_exp * (2 * j - e))
-    return out
-
-
 def c_m(spec: EquationSpec) -> int:
-    """Character sum deciding the global obstruction; a nonnegative integer."""
+    """The number deciding the global obstruction; a nonnegative integer.
+
+    c_m is h_plus times the number of ideals of norm |m| in one narrow
+    class: the identity for m > 0, the sign class for m < 0.  By character
+    orthogonality this is the character sum over the narrow class group in
+    which the criterion is stated.  The ideals are counted per class: a
+    ramified p^e shifts every class by frob_p^e, a split p^e spreads each
+    class over frob_p^(2j-e) for j = 0..e (one choice of P^j * Pbar^(e-j)),
+    and an inert p is skipped, as in the character sum: for even e its one
+    ideal (p^(e/2)) is narrowly principal, and for odd e the local condition
+    at p already fails.
+    """
     G = class_group(spec.D)
-    n = G.exponent
-    sgn_idx = sign_class(G) if spec.m < 0 else G.identity
-    local_parts: list[tuple[int, int]] = []  # (class index, exponent) for ramified
-    split_parts: list[tuple[int, int]] = []  # (class index, e) for split
+    dist = {G.identity: 1}  # class index -> number of ideals so far
     for p, e in spec.m_fact.factors:
         if spec.D % p == 0:
-            local_parts.append((frobenius_class(G, p), e))
+            shift = G.power(frobenius_class(G, p), e)
+            dist = {G.op(x, shift): k for x, k in dist.items()}
         elif kronecker(spec.D, p) == 1:
-            split_parts.append((frobenius_class(G, p), e))
-        # inert primes do not enter the sum
-    total = CycInt.zero(n)
-    for chi in characters(G):
-        term = chi.value(sgn_idx)
-        for idx, t in local_parts:
-            term = term * CycInt.root(n, chi.exponent(idx) * t)
-        for idx, e in split_parts:
-            term = term * delta_p(n, chi.exponent(idx), e)
-        total = total + term
-    val = total.as_int()
-    if val is None or val < 0:
-        raise ArithmeticError(f"character sum is not a nonnegative integer: {total}")
-    return val
+            frob = frobenius_class(G, p)
+            spread: dict[int, int] = {}
+            for j in range(e + 1):
+                g = G.power(frob, 2 * j - e)
+                for x, k in dist.items():
+                    y = G.op(x, g)
+                    spread[y] = spread.get(y, 0) + k
+            dist = spread
+    target = sign_class(G) if spec.m < 0 else G.identity
+    return G.h_plus * dist.get(target, 0)
+
+
+def _slope(spec: EquationSpec, c: int) -> float:
+    return 2 * c / (class_group(spec.D).h_plus * math.sqrt(spec.D) * spec.field.log_eps)
 
 
 def predicted_slope(spec: EquationSpec) -> float:
     """Predicted staircase slope 2*c_m / (h_plus * sqrt(D) * log eps)."""
-    G = class_group(spec.D)
-    return 2 * c_m(spec) / (G.h_plus * math.sqrt(spec.D) * spec.field.log_eps)
+    return _slope(spec, c_m(spec))
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def verdict(spec: EquationSpec) -> CensusVerdict:
     local = {p: localdata.locally_solvable(spec, p) for p in places}
     c = c_m(spec)
     solvable = all(local.values()) and c > 0
-    slope = predicted_slope(spec)
+    slope = _slope(spec, c)
     witness = _witness(spec) if solvable else None
     return CensusVerdict(spec.d, spec.m, local, c, solvable, slope, witness)
 
@@ -172,8 +170,8 @@ def pell34_criterion(m: int) -> CensusVerdict:
     Write m = (-1)^s0 * 2^s1 * 17^s2 * prod p_i^e_i and split the p_i by the
     residue symbols of 2 and 17: Pi_1 both non-residues, Pi_2 with 34 a
     non-residue, Pi_3/Pi_4 both residues with quartic symbol +1/-1.  The
-    character sum collapses to three terms (trivial, quadratic, the two
-    quartic characters); m is representable iff it is positive mod 8 data
+    character sum collapses to three terms (trivial, quadratic, and the
+    conjugate quartic pair); m is representable iff it is positive mod 8 data
     (m1 = +-1 mod 8 for m1 = (-1)^s0 * prod_{Pi_1} p_i^e_i), (m1/17) = 1,
     every odd-exponent p_i has (34/p_i) = 1, and the sum is nonzero.
     """
@@ -191,7 +189,7 @@ def pell34_criterion(m: int) -> CensusVerdict:
     locally_ok = all(local.values())
 
     # trivial character; quadratic character (Pi_1 classes square to -1,
-    # Pi_4 classes to +1); the conjugate pair of quartic characters, whose
+    # Pi_4 classes to +1); the conjugate quartic pair, whose
     # Pi_1 factor is 0 for odd exponent and (-1)^(e/2) for even
     term1 = _prod(1 + e for p, e, t in tagged if t != 2)
     term2 = _prod((-1) ** e * (1 + e) for _, e in pi1) * _prod(
@@ -211,8 +209,7 @@ def pell34_criterion(m: int) -> CensusVerdict:
     assert c >= 0
 
     solvable = locally_ok and c > 0
-    G = class_group(136)
-    slope = 2 * c / (G.h_plus * math.sqrt(136) * spec.field.log_eps)
+    slope = _slope(spec, c)
     witness = _witness(spec) if solvable else None
     return CensusVerdict(34, m, local, c, solvable, slope, witness, m1=m1)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize, is_perfect_square, kronecker, sqrt_mod_prime_power
-from .cyclotomic import CycInt
 
 
 @dataclass(frozen=True, order=True)
@@ -167,7 +166,6 @@ class NarrowClassGroup:
     h_plus: int
     decomposition: tuple[tuple[int, int], ...]  # (generator index, order)
     exponent: int
-    coords: tuple[tuple[int, ...], ...]  # class index -> generator exponents
 
     def index_of(self, f: Form) -> int:
         return self.forms.index(reduce_form(f))
@@ -225,8 +223,12 @@ def _all_reduced_forms(D: int) -> list[Form]:
 
 
 def _decompose(table, identity, h):
-    # Greedy invariant-factor style decomposition: repeatedly adjoin an
-    # element of maximal order in the current quotient.
+    # Greedy invariant-factor decomposition: repeatedly adjoin an element of
+    # maximal order in the current quotient.  The recorded orders are the
+    # invariant factors (each is the order in the quotient at its step), but
+    # a generator's order in G can exceed its recorded order, so the
+    # generator indices need not form a basis (at D = 53832 both have order
+    # 14 against recorded orders (14, 2)).
     def op(i, j):
         return table[i][j]
 
@@ -288,23 +290,7 @@ def class_group(D: int) -> NarrowClassGroup:
                 assert table[table[i][j]][k] == table[i][table[j][k]]
     gens = _decompose(table, identity, h)
     exponent = math.lcm(*(o for _, o in gens)) if gens else 1
-    # coordinates of every class in the chosen generators; the decomposition
-    # is direct exactly when every class gets one coordinate tuple
-    from itertools import product
-
-    coords: list[tuple[int, ...] | None] = [None] * h
-    for tup in product(*(range(o) for _, o in gens)):
-        x = identity
-        for (g, _), e in zip(gens, tup):
-            for _ in range(e):
-                x = table[x][g]
-        if coords[x] is not None:
-            raise ArithmeticError("generator decomposition is not direct")
-        coords[x] = tup
-    assert all(c is not None for c in coords)
-    return NarrowClassGroup(
-        D, forms, table, identity, h, tuple(gens), exponent, tuple(coords)
-    )
+    return NarrowClassGroup(D, forms, table, identity, h, tuple(gens), exponent)
 
 
 def frobenius_class(G: NarrowClassGroup, p: int) -> int:
@@ -332,43 +318,3 @@ def sign_class(G: NarrowClassGroup) -> int:
     else:
         f = Form(-1, 1, (D - 1) // 4)
     return G.index_of(f)
-
-
-@dataclass(frozen=True)
-class Character:
-    """Character of the narrow class group, as an exponent map into Z/n."""
-
-    group: NarrowClassGroup
-    labels: tuple[int, ...]  # one exponent per generator
-
-    def exponent(self, class_index: int) -> int:
-        n = self.group.exponent
-        tup = self.group.coords[class_index]
-        total = 0
-        for (_, order), lab, k in zip(self.group.decomposition, self.labels, tup):
-            total += lab * k * (n // order)
-        return total % n
-
-    def value(self, class_index: int) -> CycInt:
-        return CycInt.root(self.group.exponent, self.exponent(class_index))
-
-    def value_order(self) -> int:
-        n = self.group.exponent
-        orders = [
-            order // math.gcd(order, lab)
-            for (_, order), lab in zip(self.group.decomposition, self.labels)
-        ]
-        return math.lcm(*orders) if orders else 1
-
-    def is_trivial(self) -> bool:
-        return all(lab == 0 for lab in self.labels)
-
-
-def characters(G: NarrowClassGroup) -> list[Character]:
-    """All h characters of G."""
-    from itertools import product
-
-    return [
-        Character(G, tup)
-        for tup in product(*(range(o) for _, o in G.decomposition))
-    ]

@@ -9,7 +9,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import is_prime, kronecker, sqrt_roots_mod_prime_power
 
@@ -195,7 +194,7 @@ def lemvol_coefficient(n: int, r: int, s: int, abs_norm_delta) -> float:
     raise ValueError(f"(n, r, s) = ({n}, {r}, {s}) matches no archimedean case")
 
 
-def arch_volume_hyperbola(spec: "EquationSpec", T: float, method: str = "closed_form") -> float:
+def arch_volume_hyperbola(spec: "EquationSpec", T: float) -> float:
     """Volume of the height-T piece of the real hyperbola N(z) = m.
 
     In conjugate coordinates (z1, z2) with z1 z2 = m, the region |z1| <= T,
@@ -208,32 +207,4 @@ def arch_volume_hyperbola(spec: "EquationSpec", T: float, method: str = "closed_
         raise ValueError("T must be positive")
     if T * T <= am:
         return 0.0
-    if method == "closed_form":
-        return 2.0 / spec.D * math.log(T * T / am)
-    if method == "quadrature":
-        return _arch_volume_quadrature(spec, T)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _arch_volume_quadrature(spec: "EquationSpec", T: float) -> float:
-    # same region, parametrized by y; along the branch Dy^2 + 4m = (f_x)^2 and
-    # |d log|z2| / dy| = sqrt(D)/|f_x|
-    D, m = spec.D, spec.m
-    rD = math.sqrt(D)
-
-    def g(yv: float) -> float:
-        return 1.0 / (rD * math.sqrt(D * yv * yv + 4 * m))
-
-    def y_of(z2: float) -> float:
-        return (m / z2 - z2) / rD
-
-    lo, hi = abs(m) / T, T
-    if m > 0:
-        val, _ = quad(g, y_of(hi), y_of(lo), limit=200)
-        branch = val
-    else:
-        y_end = y_of(hi)  # = y_of(lo); the branch doubles back
-        y_star = -2.0 * math.sqrt(-m) / rD
-        val, _ = quad(g, y_end, y_star, limit=200)
-        branch = 2.0 * val
-    return 2.0 * branch
+    return 2.0 / spec.D * math.log(T * T / am)

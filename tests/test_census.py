@@ -1,15 +1,15 @@
 import pytest
 
+from charsum_oracle import CycInt, c_m_charsum, characters, delta_p
 from normcensus.census import (
     c_m,
     classify_primes,
-    delta_p,
     equation_spec,
     neg_pell_solvable,
     pell34_criterion,
     verdict,
 )
-from normcensus.cyclotomic import CycInt
+from normcensus.classgroup import class_group
 
 # Character-sum values for x^2 - 34 y^2 = m, frozen from the closed-form
 # case analysis (they also pin the slope ratios downstream).
@@ -93,6 +93,22 @@ def test_pi_tags_match_frobenius_orders():
 def test_c_m_frozen_values():
     for m, expected in C_TABLE_34.items():
         assert c_m(equation_spec(34, m)) == expected, m
+
+
+def test_c_m_class_count_equals_character_sum():
+    # the class count against the character sum in Z[zeta_n]; the oracle is
+    # only trusted on fields where its characters are homomorphisms
+    for d in (2, 3, 5, 10, 13, 34, 79, 82, 146, 226, 399, 1155):
+        G = class_group(equation_spec(d, 1).D)
+        n = G.exponent
+        for chi in characters(G):
+            for i in range(G.h_plus):
+                for j in range(G.h_plus):
+                    assert chi.exponent(G.op(i, j)) == (chi.exponent(i) + chi.exponent(j)) % n, d
+        for m in range(-200, 201):
+            if m != 0:
+                spec = equation_spec(d, m)
+                assert c_m(spec) == c_m_charsum(spec), (d, m)
 
 
 def test_verdict_witnesses():

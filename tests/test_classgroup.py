@@ -2,10 +2,10 @@ import math
 
 import pytest
 
+from charsum_oracle import characters
 from normcensus.arith import kronecker
 from normcensus.classgroup import (
     Form,
-    characters,
     class_group,
     compose,
     frobenius_class,

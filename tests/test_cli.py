@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normcensus
 from normcensus import cli
+from normcensus.census import equation_spec
+from normcensus.counting import fundamental_solutions
 
 
 def run(capsys, *argv):
@@ -46,6 +53,29 @@ def test_solve_obstructed_case(capsys):
     assert obj["c_m"] == 0
     assert obj["witness"] is None
     assert obj["locally_solvable"] is True  # the failure is global
+
+
+def test_solve_d13458_class_count(capsys):
+    # D = 53832 has narrow class group Z/14 x Z/2 whose recorded generators
+    # are not a basis; c_m must not depend on them
+    obj = run_json(capsys, "solve", "13458", "-392")
+    assert obj["solvable"] is True and obj["c_m"] == 28
+    x, y = obj["witness"]
+    assert x * x - 13458 * y * y == -392
+    for m in (-329, -56, -161):
+        obj = run_json(capsys, "solve", "13458", str(m))
+        assert obj["solvable"] is False, m
+        assert fundamental_solutions(equation_spec(13458, m)).orbit_count == 0, m
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(normcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import normcensus.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_rejects_m_zero(capsys):

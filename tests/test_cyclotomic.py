@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from normcensus.cyclotomic import CycInt, cyclotomic_poly
+from charsum_oracle import CycInt, cyclotomic_poly
 
 
 @pytest.mark.parametrize(
