@@ -8,6 +8,7 @@ and brute-force counts.
 
 from .arith import (
     Factorization,
+    InvariantError,
     factorize,
     hilbert_symbol,
     is_perfect_square,
@@ -62,6 +63,7 @@ from .hassewitt import (
 
 __all__ = [
     "Factorization",
+    "InvariantError",
     "factorize",
     "hilbert_symbol",
     "is_perfect_square",

@@ -4,6 +4,7 @@ square roots modulo prime powers."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,6 +13,11 @@ _TRIAL_LIMIT = 10**6
 # Deterministic Miller-Rabin bound for the fixed base set below.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+class InvariantError(ArithmeticError):
+    """A computed result broke an identity it must satisfy; unlike an assert,
+    the check survives python -O."""
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -251,48 +257,64 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
     """Least nonnegative r with r^2 = a (mod p^k), or None."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if a % p**k == 0:
+        return 0
+    roots = sqrt_roots_mod_prime_power(a, p, k)
+    return roots[0] if roots else None
+
+
+def sqrt_roots_mod_prime_power(a: int, p: int, k: int) -> list[int]:
+    """All r in [0, p^k) with r^2 = a (mod p^k), sorted.
+
+    For a = p^v * u with v < k and u a unit, every root is p^(v/2) * s with
+    s^2 = u (mod p^(k-v)): the unit roots s mod p^(k-v) (two for odd p, up
+    to four for p = 2, from Tonelli-Shanks and Hensel lifting) each give
+    p^(v/2) roots.  a = 0 (mod p^k) has the p^(k//2) roots p^ceil(k/2) * t.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     pk = p**k
     a %= pk
     if a == 0:
-        return 0
+        return list(range(0, pk, p ** ((k + 1) // 2)))
     v = 0
     while a % p == 0:
         a //= p
         v += 1
     if v % 2 == 1:
-        return None
-    kk = k - v  # remaining precision for the unit part
+        return []
+    j = k - v  # precision of s^2 = u
+    mod = p**j
     if p == 2:
-        r = _sqrt_unit_mod_2k(a, kk)
+        r = _sqrt_unit_mod_2k(a, j)
         if r is None:
-            return None
-        mod = 1 << kk
-        roots = {r % mod, (-r) % mod}
-        if kk >= 3:
-            roots |= {(r + mod // 2) % mod, (-r + mod // 2) % mod}
-        return p ** (v // 2) * min(roots)
-    if kronecker(a, p) != 1:
-        return None
-    r = _lift_odd(_tonelli(a % p, p), a, p, kk)
-    mod = p**kk
-    return p ** (v // 2) * min(r, mod - r)
+            return []
+        units = {r % mod, -r % mod}
+        if j >= 3:
+            units |= {(r + mod // 2) % mod, (-r + mod // 2) % mod}
+    else:
+        if kronecker(a, p) != 1:
+            return []
+        r = _lift_odd(_tonelli(a % p, p), a, p, j)
+        units = {r, mod - r}
+    h = p ** (v // 2)
+    return sorted(h * (s + t * mod) for s in units for t in range(h))
 
 
-def sqrt_roots_mod_prime_power(a: int, p: int, k: int) -> list[int]:
-    """All r in [0, p^k) with r^2 = a (mod p^k), by Hensel-style lifting."""
-    mod = p
-    a %= p**k
-    roots = [r for r in range(p) if (r * r - a) % p == 0]
-    for _ in range(k - 1):
-        nxt = mod * p
+def sqrt_roots_mod(a: int, factors: Iterable[tuple[int, int]]) -> list[int]:
+    """All r in [0, n) with r^2 = a (mod n), sorted, where n is the product of
+    the prime powers p^k in factors: the CRT of the roots mod each p^k."""
+    roots, mod = [0], 1
+    for p, k in factors:
+        pk = p**k
+        inv = pow(mod, -1, pk)
         roots = [
-            r + t * mod
+            r + mod * ((s - r) * inv % pk)
             for r in roots
-            for t in range(p)
-            if ((r + t * mod) ** 2 - a) % nxt == 0
+            for s in sqrt_roots_mod_prime_power(a, p, k)
         ]
-        mod = nxt
-    return sorted(set(roots))
+        mod *= pk
+    return sorted(roots)
 
 
 def _split_valuation(x: Fraction, p: int) -> tuple[int, Fraction]:

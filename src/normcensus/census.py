@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .arith import Factorization, factorize, kronecker, sqrt_mod_prime_power
+from .arith import Factorization, InvariantError, factorize, kronecker, sqrt_mod_prime_power
 from .classgroup import class_group, frobenius_class, sign_class
 from .quadfield import FieldData, field_data
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .counting import SolutionOrbits
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,13 @@ class CensusVerdict:
     m1: int | None = None
 
 
-def _witness(spec: EquationSpec) -> tuple[int, int]:
+def _witness(spec: EquationSpec, orbits: "SolutionOrbits | None" = None) -> tuple[int, int]:
     from . import counting
 
-    orbits = counting.fundamental_solutions(spec)
+    if orbits is None:
+        orbits = counting.fundamental_solutions(spec)
     if not orbits.representatives:
-        raise ArithmeticError(
+        raise InvariantError(
             f"criterion says solvable but no orbit found for d={spec.d}, m={spec.m}"
         )
     best = min(
@@ -144,8 +149,12 @@ def _witness(spec: EquationSpec) -> tuple[int, int]:
     return best
 
 
-def verdict(spec: EquationSpec) -> CensusVerdict:
-    """Full decision: local solvability at every bad prime plus the character sum."""
+def verdict(spec: EquationSpec, orbits: "SolutionOrbits | None" = None) -> CensusVerdict:
+    """Full decision: local solvability at every bad prime plus the character sum.
+
+    The witness is taken from orbits when given (the result of
+    counting.fundamental_solutions for spec), else they are computed.
+    """
     from . import localdata
 
     places = sorted({2} | {p for p, _ in factorize(2 * spec.d * spec.m).factors})
@@ -153,7 +162,7 @@ def verdict(spec: EquationSpec) -> CensusVerdict:
     c = c_m(spec)
     solvable = all(local.values()) and c > 0
     slope = _slope(spec, c)
-    witness = _witness(spec) if solvable else None
+    witness = _witness(spec, orbits) if solvable else None
     return CensusVerdict(spec.d, spec.m, local, c, solvable, slope, witness)
 
 
@@ -206,7 +215,8 @@ def pell34_criterion(m: int) -> CensusVerdict:
         * _prod((-1) ** e * (1 + e) for _, e in pi4)
     )
     c = term1 + term2 + term3
-    assert c >= 0
+    if c < 0:
+        raise InvariantError(f"closed-form character sum {c} < 0 for m={m}")
 
     solvable = locally_ok and c > 0
     slope = _slope(spec, c)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factorize, is_perfect_square, kronecker, sqrt_mod_prime_power
+from .arith import factorize, is_perfect_square, kronecker, sqrt_roots_mod
 
 
 @dataclass(frozen=True, order=True)
@@ -100,6 +100,33 @@ def _cycle(f: Form, D: int, s: int) -> list[Form]:
         cyc.append(g)
         g = _rho(g, D, s)
     return cyc
+
+
+def principal_representation(f: Form) -> tuple[int, int] | None:
+    """(x, y) with f0(x, y) = f.a, where f0 = (1, D mod 2, *) is the principal
+    form of discriminant D, if f is properly equivalent to f0; else None.
+
+    Steps f through rho, reducing it and then walking its cycle once, and
+    tracks the SL2(Z) matrix M with (original f) o M = f; each step is
+    f -> f o [[0,-1],[1,t]].  Once f = (1, b', c') = f0 o T with
+    T = [[1,(b' - D mod 2)/2],[0,1]], the original f is f0 o (T M^-1),
+    and (x, y) is the first column of T M^-1, which needs only the bottom
+    row of M.
+    """
+    D = f.disc()
+    s = math.isqrt(D)
+    r, u = 0, 1  # bottom row of M
+    start = None
+    while f != start:
+        if f.a == 1:
+            k = (f.b - D % 2) // 2
+            return u - k * r, -r
+        if start is None and _is_reduced(f, s):
+            start = f
+        g = _rho(f, D, s)
+        r, u = u, u * ((g.b + f.b) // (2 * f.c)) - r
+        f = g
+    return None
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -302,11 +329,12 @@ def frobenius_class(G: NarrowClassGroup, p: int) -> int:
     D = G.D
     if kronecker(D, p) == -1:
         raise ValueError(f"p={p} is inert: no prime form exists")
-    for b in range(2 * p):
-        if (b * b - D) % (4 * p) == 0:
-            f = Form(p, b, (b * b - D) // (4 * p))
-            if f.is_primitive():
-                return G.index_of(f)
+    for b in sqrt_roots_mod(D, factorize(4 * p).factors):
+        if b >= 2 * p:
+            break
+        f = Form(p, b, (b * b - D) // (4 * p))
+        if f.is_primitive():
+            return G.index_of(f)
     raise ValueError(f"no primitive prime form above p={p}")  # pragma: no cover
 
 

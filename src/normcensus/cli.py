@@ -20,7 +20,7 @@ from typing import Any
 
 from .census import equation_spec, verdict
 from .classgroup import class_group
-from .counting import count_via_orbits, brute_count, calibration, exact_slope, fundamental_solutions
+from .counting import count_via_orbits, brute_count, exact_slope, fundamental_solutions
 from .hassewitt import c_n_a
 from .localdata import local_density
 from .quadfield import field_data
@@ -127,19 +127,21 @@ def _cmd_solve(args: argparse.Namespace) -> dict[str, Any]:
 
 def _census_row(d: int, m: int, exponents: list[int]) -> dict[str, Any]:
     spec = equation_spec(d, m)
-    v = verdict(spec)
     orbits = fundamental_solutions(spec)
+    v = verdict(spec, orbits)
+    slope = exact_slope(spec, orbits)
     row: dict[str, Any] = {
         "m": m,
         "solvable": v.solvable,
         "c_m": v.c_m,
         "orbit_count": orbits.orbit_count,
-        "exact_slope": exact_slope(spec),
+        "exact_slope": slope,
         "predicted_slope": v.predicted_slope,
-        "calibration": calibration(spec) if v.solvable and v.c_m > 0 else None,
+        # calibration(spec), without computing c_m and the orbits again
+        "calibration": slope / v.predicted_slope if v.solvable and v.c_m > 0 else None,
     }
     if exponents:
-        row["counts"] = {str(k): count_via_orbits(spec, 10**k) for k in exponents}
+        row["counts"] = {str(k): count_via_orbits(spec, 10**k, orbits) for k in exponents}
     return row
 
 

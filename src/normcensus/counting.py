@@ -5,6 +5,13 @@ Solutions of N(z) = m fall into finitely many orbits under multiplication by
 the norm-one fundamental unit eps (signs give separate orbits).  The orbit
 representative is normalized into the window sqrt(|m|/eps) < |sigma_1(z)| <=
 sqrt(|m|*eps), which contains exactly one member of each orbit.
+
+The representatives come from reduced ideal forms: each ideal of norm |m|
+is a form (n, b, *) with n = m/g^2, and reducing that form while tracking
+the SL2(Z) transform either reaches the principal form, which yields a
+solution, or shows the ideal's class is not the target.  This costs time
+polynomial in log|m| plus the cycle length, O(log eps); a scan over y would
+take O(sqrt(|m| eps / d)) steps (tests/yscan_oracle.py keeps it as a check).
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .arith import InvariantError, sqrt_roots_mod
+from .classgroup import Form, principal_representation
 from .quadfield import QuadElem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,19 +89,49 @@ def _x_solutions(spec: "EquationSpec", y: int) -> list[int]:
     return sorted({t, -t})
 
 
+def _square_splits(factors: tuple[tuple[int, int], ...]) -> list[tuple[int, list[tuple[int, int]]]]:
+    # (g, prime powers of |m|/g^2) for every g >= 1 with g^2 | m
+    out: list[tuple[int, list[tuple[int, int]]]] = [(1, [])]
+    for p, e in factors:
+        out = [
+            (g * p**k, rest + [(p, e - 2 * k)] if e > 2 * k else rest)
+            for g, rest in out
+            for k in range(e // 2 + 1)
+        ]
+    return out
+
+
 def fundamental_solutions(spec: "EquationSpec") -> SolutionOrbits:
-    """One canonical representative per eps-orbit of solutions."""
-    d, m = spec.d, spec.m
-    bound = Fraction(abs(m)) * _eps_upper(spec) / d
-    if d % 4 == 1:
-        bound *= 4
-    Y = math.isqrt(int(bound)) + 1
+    """One canonical representative per eps-orbit of solutions.
+
+    A solution is g*(x, y) with g^2 | m and (x, y) a primitive representation
+    of n = m/g^2 by the norm form f0.  Completing (x, y) to a matrix S in
+    SL2(Z) gives f0 o S = (n, b, *) with b mod 2|n| fixed by (x, y) and
+    b^2 = D (mod 4|n|); the representations sharing one b are one orbit of
+    the proper automorphs +-eps^k of f0.  So each b whose form (n, b, *) is
+    properly equivalent to f0 gives the two orbits of (x, y) and -(x, y),
+    and the form's reduction cycle yields (x, y).
+    """
+    d, m, D = spec.d, spec.m, spec.D
     reps: set[QuadElem] = set()
-    for y in range(-Y, Y + 1):
-        for x in _x_solutions(spec, y):
+    for g, rest in _square_splits(spec.m_fact.factors):
+        n = m // (g * g)
+        four_n = [(2, dict(rest).get(2, 0) + 2)] + [(p, e) for p, e in rest if p != 2]
+        for b in sqrt_roots_mod(D, four_n):
+            if b >= 2 * abs(n):
+                break
+            form = Form(n, b, (b * b - D) // (4 * n))
+            if not form.is_primitive():
+                continue
+            xy = principal_representation(form)
+            if xy is None:
+                continue
+            x, y = g * xy[0], g * xy[1]
+            if spec.evaluate(x, y) != m:
+                raise InvariantError(f"N({x} + {y}*omega) != {m} for d={d}")
             z = QuadElem.from_coords(d, x, y)
-            assert spec.evaluate(x, y) == m
             reps.add(_window_reduce(z, spec))
+            reps.add(_window_reduce(-z, spec))
     ordered = tuple(sorted(reps, key=lambda z: (z.a, z.b, z.denom)))
     return SolutionOrbits(d, m, ordered, len(ordered))
 
@@ -163,15 +202,18 @@ def _scan_numpy(spec: "EquationSpec", T: int, ymax: int) -> int:
     return total
 
 
-def count_via_orbits(spec: "EquationSpec", T: int) -> int:
+def count_via_orbits(spec: "EquationSpec", T: int, orbits: SolutionOrbits | None = None) -> int:
     """Number of solutions with max(|x|, |y|) <= T, by walking each orbit.
 
     Works for astronomically large T (exact big-integer arithmetic only).
+    orbits, when given, is fundamental_solutions(spec), computed once by a
+    caller that needs it for several quantities.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     d, m = spec.d, spec.m
-    orbits = fundamental_solutions(spec)
+    if orbits is None:
+        orbits = fundamental_solutions(spec)
     eps = spec.field.eps
     eps_inv = eps.conj()
     # |sigma_1| cutoff beyond which max(|x|,|y|) > T is guaranteed:
@@ -195,9 +237,12 @@ def count_via_orbits(spec: "EquationSpec", T: int) -> int:
     return total
 
 
-def exact_slope(spec: "EquationSpec") -> float:
-    """Exact staircase slope 2 * orbit_count / log(eps)."""
-    return 2 * fundamental_solutions(spec).orbit_count / spec.field.log_eps
+def exact_slope(spec: "EquationSpec", orbits: SolutionOrbits | None = None) -> float:
+    """Exact staircase slope 2 * orbit_count / log(eps); orbits as in
+    count_via_orbits."""
+    if orbits is None:
+        orbits = fundamental_solutions(spec)
+    return 2 * orbits.orbit_count / spec.field.log_eps
 
 
 def calibration(spec: "EquationSpec") -> float:

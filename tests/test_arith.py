@@ -11,6 +11,7 @@ from normcensus.arith import (
     is_prime,
     kronecker,
     sqrt_mod_prime_power,
+    sqrt_roots_mod,
     sqrt_roots_mod_prime_power,
 )
 
@@ -129,6 +130,17 @@ def test_sqrt_roots_exhaustive(p, kmax):
                 assert r in want
             else:
                 assert r is None
+
+
+def test_sqrt_roots_mod_composite_exhaustive():
+    # CRT of the prime-power roots against every residue of every n <= 300
+    for n in range(1, 301):
+        factors = factorize(n).factors
+        true_roots = {}
+        for x in range(n):
+            true_roots.setdefault(x * x % n, []).append(x)
+        for a in range(-n, n):
+            assert sqrt_roots_mod(a, factors) == true_roots.get(a % n, []), (a, n)
 
 
 def test_hilbert_anchor_values():

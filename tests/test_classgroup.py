@@ -3,7 +3,7 @@ import math
 import pytest
 
 from charsum_oracle import characters
-from normcensus.arith import kronecker
+from normcensus.arith import is_prime, kronecker
 from normcensus.classgroup import (
     Form,
     class_group,
@@ -96,6 +96,25 @@ def test_frobenius_translation_choice_is_immaterial():
                 if f.is_primitive():
                     assert G.index_of(f) == got
                     break
+
+
+def _frobenius_class_scan(G, p):
+    # O(p) reference: the smallest b in [0, 2p) giving a primitive form
+    # (p, b, *), found by trying every b
+    for b in range(2 * p):
+        if (b * b - G.D) % (4 * p) == 0:
+            f = Form(p, b, (b * b - G.D) // (4 * p))
+            if f.is_primitive():
+                return G.index_of(f)
+    raise AssertionError(f"no prime form above {p}")
+
+
+def test_frobenius_class_matches_residue_scan():
+    for D in (136, 53832, 1324, 5):
+        G = class_group(D)
+        for p in range(2, 2000):
+            if is_prime(p) and kronecker(D, p) != -1:
+                assert frobenius_class(G, p) == _frobenius_class_scan(G, p), (D, p)
 
 
 def test_frobenius_rejects_inert():

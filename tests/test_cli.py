@@ -1,15 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import normcensus
-from normcensus import cli
+from normcensus import cli, counting
 from normcensus.census import equation_spec
-from normcensus.counting import fundamental_solutions
+from yscan_oracle import yscan_orbits
 
 
 def run(capsys, *argv):
@@ -65,7 +67,78 @@ def test_solve_d13458_class_count(capsys):
     for m in (-329, -56, -161):
         obj = run_json(capsys, "solve", "13458", str(m))
         assert obj["solvable"] is False, m
-        assert fundamental_solutions(equation_spec(13458, m)).orbit_count == 0, m
+        assert yscan_orbits(equation_spec(13458, m)).orbit_count == 0, m
+
+
+def test_solve_large_split_prime_is_fast(capsys):
+    # the Frobenius class and the orbits take O(log p) steps, not O(p)
+    p = 1_000_000_009
+    start = time.perf_counter()
+    obj = run_json(capsys, "solve", "34", str(p))
+    assert time.perf_counter() - start < 30
+    assert obj["solvable"] is True
+    x, y = obj["witness"]
+    assert x * x - 34 * y * y == p
+
+
+def test_d331_census_large_regulator(capsys):
+    # the unit of Q(sqrt(331)) has 52-bit coordinates; every solvable row
+    # has 2 c_m / h+ orbits and calibration 2 sqrt(D)
+    obj = run_json(capsys, "census", "331", "--m-range=-3..3", "--T-exponents", "2,100")
+    h_plus = run_json(capsys, "unit", "331")["h_plus"]
+    solvable = [r for r in obj["rows"] if r["solvable"]]
+    assert [r["m"] for r in solvable] == [-3, -2, 1]
+    for row in solvable:
+        assert row["orbit_count"] * h_plus == 2 * row["c_m"], row
+        assert abs(row["calibration"] - 2 * math.sqrt(1324)) <= 1e-9, row
+    for row in obj["rows"]:
+        sol = run_json(capsys, "solve", "331", str(row["m"]))
+        assert sol["solvable"] == row["solvable"]
+        if sol["solvable"]:
+            x, y = sol["witness"]
+            assert x * x - 331 * y * y == row["m"]
+
+
+def _run_optimized(*args):
+    # python -O strips asserts; the library's invariant checks must survive it
+    src = str(Path(normcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-O", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_optimized_solve_reports_witness():
+    proc = _run_optimized("-m", "normcensus", "solve", "331", "-3")
+    assert proc.returncode == 0, proc.stderr
+    x, y = json.loads(proc.stdout)["witness"]
+    assert x * x - 331 * y * y == -3
+
+
+def test_optimized_invariant_violation_exits_3():
+    # a norm form that lies makes every new orbit representative fail its check
+    proc = _run_optimized(
+        "-c",
+        "import sys; from normcensus import census, cli\n"
+        "census.EquationSpec.evaluate = lambda self, x, y: self.m + 1\n"
+        "sys.exit(cli.main(['solve', '34', '33']))",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "internal invariant violated" in proc.stderr
+
+
+def test_census_computes_orbits_once_per_row(capsys, monkeypatch):
+    calls = []
+    real = counting.fundamental_solutions
+
+    def counted(spec):
+        calls.append(spec.m)
+        return real(spec)
+
+    monkeypatch.setattr(counting, "fundamental_solutions", counted)
+    monkeypatch.setattr(cli, "fundamental_solutions", counted)
+    obj = run_json(capsys, "census", "34", "--m-range=-20..20", "--T-exponents", "2,100")
+    assert sorted(calls) == [r["m"] for r in obj["rows"]]
 
 
 def test_cli_import_loads_no_scipy():

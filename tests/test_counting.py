@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from normcensus.census import equation_spec
+from normcensus.census import c_m, equation_spec
+from normcensus.classgroup import class_group
 from normcensus.counting import (
     _window_reduce,
     brute_count,
@@ -12,6 +13,7 @@ from normcensus.counting import (
     fundamental_solutions,
 )
 from normcensus.quadfield import QuadElem
+from yscan_oracle import yscan_orbits
 
 
 def test_brute_count_frozen():
@@ -42,6 +44,21 @@ def test_fundamental_solutions_frozen():
     assert reps(2, -1) == ["-1-1*sqrt(2)", "1+1*sqrt(2)"]
     assert fundamental_solutions(equation_spec(34, 3)).orbit_count == 0
     assert fundamental_solutions(equation_spec(34, -1)).orbit_count == 0
+
+
+def test_orbits_match_yscan_oracle():
+    # reduced ideal forms against the class-group-free scan; the orbit count
+    # of a solvable equation is 2 c_m / h+ (two sign orbits per ideal)
+    for d in (2, 3, 5, 6, 7, 10, 13, 17, 21, 34, 79, 82, 146, 226, 399, 1155):
+        for m in range(-300, 301):
+            if m == 0:
+                continue
+            spec = equation_spec(d, m)
+            got = fundamental_solutions(spec)
+            want = yscan_orbits(spec)
+            assert got == want, (d, m)
+            if want.orbit_count:
+                assert want.orbit_count * class_group(spec.D).h_plus == 2 * c_m(spec), (d, m)
 
 
 def test_representatives_sit_in_the_window():
