@@ -3,7 +3,7 @@
 Decides integral solvability of N(a1*x + a2*y) = m through a character-sum
 criterion on the narrow class group, predicts the logarithmic growth rate of
 the integral point count, and cross-validates both against exact orbit-based
-and brute-force counts.
+counts.
 """
 
 from .arith import (
@@ -39,7 +39,6 @@ from .census import (
 )
 from .counting import (
     SolutionOrbits,
-    brute_count,
     calibration,
     count_via_orbits,
     exact_slope,
@@ -90,7 +89,6 @@ __all__ = [
     "predicted_slope",
     "verdict",
     "SolutionOrbits",
-    "brute_count",
     "calibration",
     "count_via_orbits",
     "exact_slope",

@@ -157,7 +157,8 @@ def verdict(spec: EquationSpec, orbits: "SolutionOrbits | None" = None) -> Censu
     """
     from . import localdata
 
-    places = sorted({2} | {p for p, _ in factorize(2 * spec.d * spec.m).factors})
+    bad = {p for p, _ in factorize(spec.d).factors} | {p for p, _ in spec.m_fact.factors}
+    places = sorted({2} | bad)
     local = {p: localdata.locally_solvable(spec, p) for p in places}
     c = c_m(spec)
     solvable = all(local.values()) and c > 0

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factorize, is_perfect_square, kronecker, sqrt_roots_mod
+from .arith import InvariantError, factorize, is_perfect_square, kronecker, sqrt_roots_mod
 
 
 @dataclass(frozen=True, order=True)
@@ -293,10 +293,12 @@ def class_group(D: int) -> NarrowClassGroup:
         if f in seen:
             continue
         cyc = _cycle(f, D, s)
-        assert seen.isdisjoint(cyc)
+        if not seen.isdisjoint(cyc):
+            raise InvariantError(f"reduction cycles of {f} and an earlier form overlap, D={D}")
         seen |= set(cyc)
         reps.append(min(cyc))
-    assert seen == reduced
+    if seen != reduced:
+        raise InvariantError(f"reduction cycles do not cover the reduced forms, D={D}")
     reps.sort()
     forms = tuple(reps)
     index = {f: i for i, f in enumerate(forms)}
@@ -310,11 +312,13 @@ def class_group(D: int) -> NarrowClassGroup:
         principal = Form(1, 1, (1 - D) // 4)
     identity = index[reduce_form(principal)]
     # group sanity: identity row/column, associativity
-    assert all(table[identity][j] == j and table[j][identity] == j for j in range(h))
+    if not all(table[identity][j] == j and table[j][identity] == j for j in range(h)):
+        raise InvariantError(f"principal class is not the identity of the table, D={D}")
     for i in range(h):
         for j in range(h):
             for k in range(h):
-                assert table[table[i][j]][k] == table[i][table[j][k]]
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    raise InvariantError(f"composition is not associative at {i}, {j}, {k}, D={D}")
     gens = _decompose(table, identity, h)
     exponent = math.lcm(*(o for _, o in gens)) if gens else 1
     return NarrowClassGroup(D, forms, table, identity, h, tuple(gens), exponent)

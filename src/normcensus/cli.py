@@ -20,7 +20,7 @@ from typing import Any
 
 from .census import equation_spec, verdict
 from .classgroup import class_group
-from .counting import count_via_orbits, brute_count, exact_slope, fundamental_solutions
+from .counting import count_via_orbits, exact_slope, fundamental_solutions
 from .hassewitt import c_n_a
 from .localdata import local_density
 from .quadfield import field_data
@@ -169,7 +169,7 @@ def _cmd_census(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
     spec = equation_spec(args.d, args.m)
     T = int(args.T)
-    count = brute_count(spec, T) if T <= 10**8 else count_via_orbits(spec, T)
+    count = count_via_orbits(spec, T)
     return {"d": args.d, "m": args.m, "T": T, "count": count}
 
 

@@ -1,5 +1,5 @@
-"""Exact integral-point counts: brute-force scans, unit-orbit enumeration,
-and the staircase slope they share.
+"""Exact integral-point counts by unit-orbit enumeration, and the staircase
+slope they give.
 
 Solutions of N(z) = m fall into finitely many orbits under multiplication by
 the norm-one fundamental unit eps (signs give separate orbits).  The orbit
@@ -12,6 +12,8 @@ the SL2(Z) transform either reaches the principal form, which yields a
 solution, or shows the ideal's class is not the target.  This costs time
 polynomial in log|m| plus the cycle length, O(log eps); a scan over y would
 take O(sqrt(|m| eps / d)) steps (tests/yscan_oracle.py keeps it as a check).
+Walking each orbit through the height box counts the solutions exactly for
+any T >= 0; the direct scan over y that it replaced is tests/brute_oracle.py.
 """
 
 from __future__ import annotations
@@ -21,18 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .arith import InvariantError, sqrt_roots_mod
 from .classgroup import Form, principal_representation
 from .quadfield import QuadElem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .census import EquationSpec
-
-_BRUTE_LIMIT = 10**8
-_NUMPY_CUTOFF = 50_000
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,26 +63,6 @@ def _window_reduce(z: QuadElem, spec: "EquationSpec") -> QuadElem:
             z = z * eps
             continue
         return z
-
-
-def _x_solutions(spec: "EquationSpec", y: int) -> list[int]:
-    # integer x with N(x + y*omega) = m, for fixed y
-    d, m = spec.d, spec.m
-    if d % 4 == 1:
-        s2 = d * y * y + 4 * m
-        if s2 < 0:
-            return []
-        t = math.isqrt(s2)
-        if t * t != s2 or (t - y) % 2:
-            return []
-        return sorted({(t - y) // 2, (-t - y) // 2})
-    s2 = d * y * y + m
-    if s2 < 0:
-        return []
-    t = math.isqrt(s2)
-    if t * t != s2:
-        return []
-    return sorted({t, -t})
 
 
 def _square_splits(factors: tuple[tuple[int, int], ...]) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -134,72 +110,6 @@ def fundamental_solutions(spec: "EquationSpec") -> SolutionOrbits:
             reps.add(_window_reduce(-z, spec))
     ordered = tuple(sorted(reps, key=lambda z: (z.a, z.b, z.denom)))
     return SolutionOrbits(d, m, ordered, len(ordered))
-
-
-def brute_count(spec: "EquationSpec", T: int) -> int:
-    """Number of solutions with max(|x|, |y|) <= T, by direct scan."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if T > _BRUTE_LIMIT:
-        raise ValueError(
-            f"T={T} exceeds the direct-scan budget ({_BRUTE_LIMIT}); "
-            "use count_via_orbits"
-        )
-    d, m = spec.d, spec.m
-    if d % 4 == 1:
-        ymax = min(T, math.isqrt(max(0, 9 * T * T - 4 * m) // d))
-    else:
-        ymax = min(T, math.isqrt(max(0, T * T - m) // d))
-    total = sum(1 for x in _x_solutions(spec, 0) if abs(x) <= T)
-    if ymax >= 1:
-        if ymax <= _NUMPY_CUTOFF:
-            for y in range(1, ymax + 1):
-                total += 2 * sum(1 for x in _x_solutions(spec, y) if abs(x) <= T)
-        else:
-            total += 2 * _scan_numpy(spec, T, ymax)
-    return total
-
-
-def _exact_sqrt_mask(rhs):
-    # rhs int64 >= 0; returns (is_square, isqrt) elementwise
-    t = np.rint(np.sqrt(rhs.astype(np.float64))).astype(np.int64)
-    t = np.maximum(t, 0)
-    # float rounding can be off by one near perfect squares
-    for cand in (t - 1, t, t + 1):
-        good = cand >= 0
-        hit = good & (cand * cand == rhs)
-        t = np.where(hit, cand, t)
-    return (t * t == rhs), t
-
-
-def _scan_numpy(spec: "EquationSpec", T: int, ymax: int) -> int:
-    d, m = spec.d, spec.m
-    if d * ymax * ymax + abs(4 * m) >= 2**62:  # pragma: no cover - desk scale
-        return sum(
-            sum(1 for x in _x_solutions(spec, y) if abs(x) <= T)
-            for y in range(1, ymax + 1)
-        )
-    total = 0
-    half = d % 4 == 1
-    for start in range(1, ymax + 1, _CHUNK):
-        y = np.arange(start, min(start + _CHUNK, ymax + 1), dtype=np.int64)
-        if half:
-            rhs = d * y * y + 4 * m
-        else:
-            rhs = d * y * y + m
-        ok = rhs >= 0
-        sq, t = _exact_sqrt_mask(np.where(ok, rhs, 0))
-        sq &= ok
-        if half:
-            sq &= (t - y) % 2 == 0
-            x1 = (t - y) >> 1
-            x2 = (-t - y) >> 1
-            total += int(np.sum(sq & (np.abs(x1) <= T)))
-            total += int(np.sum(sq & (t > 0) & (np.abs(x2) <= T)))
-        else:
-            inrange = sq & (t <= T)
-            total += int(np.sum(inrange & (t > 0)) * 2 + np.sum(inrange & (t == 0)))
-    return total
 
 
 def count_via_orbits(spec: "EquationSpec", T: int, orbits: SolutionOrbits | None = None) -> int:

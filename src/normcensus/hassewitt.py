@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .arith import factorize, hilbert_symbol
 
 Rational = int | Fraction
@@ -149,6 +147,8 @@ def c_n_a(n: int, a: int, ratios: Mapping[int, Rational] | None = None) -> CnaRe
 
 def isometry_count_mod8(L: Sequence[Sequence[int]]) -> int:
     """#{X in M_3(Z/8) : X^T L X = L (mod 8)} for a small integral Gram matrix."""
+    import numpy as np
+
     A = np.array(L, dtype=np.int64)
     if A.shape != (3, 3) or not np.array_equal(A, A.T):
         raise ValueError("L must be a symmetric 3x3 integer matrix")

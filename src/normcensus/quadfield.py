@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorize
+from .arith import InvariantError, factorize
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,8 @@ def _cf_fundamental_unit(d: int) -> QuadElem:
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
     for _ in range(10**6):
-        assert Q > 0
+        if Q <= 0:
+            raise InvariantError(f"continued fraction of omega reached Q = {Q} for d={d}")
         a = (P + s) // Q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
@@ -215,9 +216,13 @@ def field_data(d: int) -> FieldData:
     D = d if d % 4 == 1 else 4 * d
     eps0 = _cf_fundamental_unit(d)
     n0 = eps0.norm()
-    assert n0 in (1, -1)
+    if n0 not in (1, -1):
+        raise InvariantError(f"fundamental unit {eps0} has norm {n0} for d={d}")
     eps = eps0 if n0 == 1 else eps0 * eps0
-    assert eps.norm() == 1
-    assert (eps * eps.conj()).is_one()
-    assert eps0.sign_embed1() > 0 and (eps0 - QuadElem(1, 0, 1, d)).sign_embed1() > 0
+    if eps.norm() != 1:
+        raise InvariantError(f"norm-one unit {eps} has norm {eps.norm()} for d={d}")
+    if not (eps * eps.conj()).is_one():
+        raise InvariantError(f"eps * conj(eps) != 1 for eps = {eps}, d={d}")
+    if not (eps0.sign_embed1() > 0 and (eps0 - QuadElem(1, 0, 1, d)).sign_embed1() > 0):
+        raise InvariantError(f"fundamental unit {eps0} is not > 1 for d={d}")
     return FieldData(d, D, eps0, int(n0), eps, _log_embed1(eps))

@@ -18,7 +18,6 @@ from normcensus.census import (
 )
 from normcensus.classgroup import class_group, frobenius_class, sign_class
 from normcensus.counting import (
-    brute_count,
     calibration,
     count_via_orbits,
     exact_slope,
@@ -27,6 +26,7 @@ from normcensus.counting import (
 from normcensus.hassewitt import arch_h_limit, c_n_a, diagonalize, hasse_invariant
 from normcensus.localdata import arch_volume_hyperbola, lemvol_coefficient, local_density
 from normcensus.quadfield import field_data
+from brute_oracle import brute_count
 from yscan_oracle import yscan_orbits
 
 

@@ -10,7 +10,8 @@ import pytest
 
 import normcensus
 from normcensus import cli, counting
-from normcensus.census import equation_spec
+from normcensus.census import equation_spec, pell34_criterion
+from brute_oracle import brute_count
 from yscan_oracle import yscan_orbits
 
 
@@ -127,6 +128,18 @@ def test_optimized_invariant_violation_exits_3():
     assert "internal invariant violated" in proc.stderr
 
 
+def test_optimized_unit_invariant_violation_exits_3():
+    # a norm that lies makes the norm-one unit fail its check in field_data
+    proc = _run_optimized(
+        "-c",
+        "import sys; from normcensus import cli, quadfield\n"
+        "quadfield.QuadElem.norm = lambda self: -1\n"
+        "sys.exit(cli.main(['unit', '34']))",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "internal invariant violated" in proc.stderr
+
+
 def test_census_computes_orbits_once_per_row(capsys, monkeypatch):
     calls = []
     real = counting.fundamental_solutions
@@ -142,13 +155,38 @@ def test_census_computes_orbits_once_per_row(capsys, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor numpy: only the density scans import it, when they run
     src = str(Path(normcensus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import normcensus.cli, sys; assert 'scipy' not in sys.modules"
+    code = (
+        "import normcensus.cli, sys; "
+        "assert 'scipy' not in sys.modules; assert 'numpy' not in sys.modules"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_deep_power_of_two(capsys):
+    # v_2(m) = 20 once needed a 2^26-residue search and exited 2
+    m = 2**20
+    obj = run_json(capsys, "solve", "34", str(m))
+    assert obj["solvable"] is True
+    x, y = obj["witness"]
+    assert x * x - 34 * y * y == m
+
+
+def test_solve_huge_power_of_two_matches_closed_form(capsys):
+    m = -(2**61)
+    obj = run_json(capsys, "solve", "34", str(m))
+    want = pell34_criterion(m).locally_solvable
+    assert obj["local"] == {str(p): ok for p, ok in want.items()}
+
+
+def test_count_dispatches_to_orbit_count(capsys):
+    obj = run_json(capsys, "count", "5", "-11", "100000")
+    assert obj["count"] == brute_count(equation_spec(5, -11), 10**5)
 
 
 def test_solve_rejects_m_zero(capsys):

@@ -3,18 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from normcensus.arith import kronecker
+from normcensus.arith import factorize, kronecker
 from normcensus.census import equation_spec
 from normcensus.localdata import (
-    _search_solvable,
-    _vp,
     arch_volume_hyperbola,
     lemvol_coefficient,
     local_density,
     locally_solvable,
 )
+from localsearch_oracle import _search_solvable, _vp
 
 
 def test_locally_solvable_frozen():
@@ -32,8 +33,8 @@ def test_locally_solvable_validates_p():
 
 
 def test_closed_form_matches_residue_search():
-    # the odd-p decision is a symbol computation; the mod-p^K Hensel scan
-    # is the independent oracle
+    # the decision is a Hilbert symbol; the mod-p^K Hensel scan is the
+    # independent oracle, at p = 2 over all three classes of d mod 4
     for d in (2, 10, 34, 5, 13):
         for m in range(-40, 41):
             if m == 0:
@@ -41,6 +42,38 @@ def test_closed_form_matches_residue_search():
             spec = equation_spec(d, m)
             for p in (3, 5, 7, 11, 13, 17):
                 assert locally_solvable(spec, p) == _search_solvable(spec, p), (d, m, p)
+    for d in (2, 3, 5, 10, 13, 21, 34):
+        for m in range(-40, 41):
+            if m == 0:
+                continue
+            spec = equation_spec(d, m)
+            assert locally_solvable(spec, 2) == _search_solvable(spec, 2), (d, m)
+
+
+# moduli p^K the residue search may use here: it allocates a few int64
+# arrays of p^K entries, or loops over 2^K residues when d = 1 mod 4
+_SEARCH_LIMIT = 1 << 18
+
+
+def _squarefree(n: int) -> bool:
+    return all(e == 1 for _, e in factorize(n).factors)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 500).filter(_squarefree),
+    m=st.integers(-5000, 5000).filter(lambda m: m != 0),
+    pick=st.integers(0, 10**6),
+)
+def test_symbol_matches_residue_search_random(d, m, pick):
+    spec = equation_spec(d, m)
+    # p = 2 always fits: v_2(4dm) + 3 <= 18 for d <= 500, |m| <= 5000
+    places = [
+        p for p, _ in factorize(2 * d * m).factors
+        if p ** (_vp(4 * d * m, p, 64) + 3) <= _SEARCH_LIMIT
+    ]
+    p = places[pick % len(places)]
+    assert locally_solvable(spec, p) == _search_solvable(spec, p), (d, m, p)
 
 
 def test_local_density_frozen():

@@ -14,8 +14,10 @@ import math
 from fractions import Fraction
 
 from normcensus.census import EquationSpec
-from normcensus.counting import SolutionOrbits, _eps_upper, _window_reduce, _x_solutions
+from normcensus.counting import SolutionOrbits, _eps_upper, _window_reduce
 from normcensus.quadfield import QuadElem
+
+from brute_oracle import _x_solutions
 
 
 def yscan_orbits(spec: EquationSpec) -> SolutionOrbits:
