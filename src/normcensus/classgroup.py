@@ -5,13 +5,22 @@ A form (a, b, c) of fundamental discriminant D > 0 is reduced when
 |sqrt(D) - 2|a|| < b < sqrt(D).  Reduced forms fall into cycles under the
 reduction step rho; cycles = classes; the canonical class representative is
 the cycle member with lexicographically least (a, b).
+
+A reduced form has b = D (mod 2) and a | (D - b^2)/4, so the reduced forms
+are enumerated over the divisors of (D - b^2)/4 for each such b.  The cycles
+that class_group walks give a map from every reduced form to its class;
+inside a group, a form (a product under composition, or the argument of
+index_of) is stepped by rho to some reduced form and looked up in that map,
+without walking its cycle to the canonical representative.  Methods:
+Buchmann & Vollmer, Binary Quadratic Forms (2007), ch. 6 and 8; Cohen,
+GTM 138, section 5.6.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import InvariantError, factorize, is_perfect_square, kronecker, sqrt_roots_mod
 
@@ -77,6 +86,15 @@ def _rho(f: Form, D: int, s: int) -> Form:
     return Form(f.c, r, (r * r - D) // (4 * f.c))
 
 
+def _reduced(f: Form, D: int, s: int) -> Form:
+    # some reduced form properly equivalent to f (the first one rho reaches)
+    for _ in range(10000):
+        if _is_reduced(f, s):
+            return f
+        f = _rho(f, D, s)
+    raise ArithmeticError("reduction did not terminate")  # pragma: no cover
+
+
 def reduce_form(f: Form) -> Form:
     """Canonical representative of the proper equivalence class of f."""
     D = f.disc()
@@ -84,13 +102,7 @@ def reduce_form(f: Form) -> Form:
     if not f.is_primitive():
         raise ValueError(f"form {f} is not primitive")
     s = math.isqrt(D)
-    for _ in range(10000):
-        if _is_reduced(f, s):
-            break
-        f = _rho(f, D, s)
-    else:  # pragma: no cover
-        raise ArithmeticError("reduction did not terminate")
-    return min(_cycle(f, D, s))
+    return min(_cycle(_reduced(f, D, s), D, s))
 
 
 def _cycle(f: Form, D: int, s: int) -> list[Form]:
@@ -156,9 +168,13 @@ def compose(f1: Form, f2: Form) -> Form:
     D = f1.disc()
     if f2.disc() != D:
         raise ValueError("composition needs equal discriminants")
-    s0 = math.isqrt(D)
-    f1 = _pos_a(reduce_form(f1), D, s0)
-    f2 = _pos_a(reduce_form(f2), D, s0)
+    s = math.isqrt(D)
+    return reduce_form(_compose(_pos_a(reduce_form(f1), D, s), _pos_a(reduce_form(f2), D, s)))
+
+
+def _compose(f1: Form, f2: Form) -> Form:
+    # Gauss composition of two reduced forms of one discriminant with a > 0;
+    # the product is not reduced.
     if f1.a > f2.a:
         f1, f2 = f2, f1
     a1, b1, c1 = f1.a, f1.b, f1.c
@@ -181,7 +197,7 @@ def compose(f1: Form, f2: Form) -> Form:
     a3 = v1 * v2_
     b3 = b2 + 2 * v2_ * r
     c3 = (c2 * d1 + r * (b2 + v2_ * r)) // v1
-    return reduce_form(Form(a3, b3, c3))
+    return Form(a3, b3, c3)
 
 
 @dataclass(frozen=True)
@@ -194,14 +210,29 @@ class NarrowClassGroup:
     decomposition: tuple[tuple[int, int], ...]  # (generator index, order)
     exponent: int
 
+    @cached_property
+    def _class_of(self) -> dict[Form, int]:
+        # every reduced form -> its class index; class_group sets this from
+        # the cycles it walks, so it is built here only for a group made by
+        # hand.  Not a field: it stays out of equality, hash and repr.
+        s = math.isqrt(self.D)
+        return {g: i for i, f in enumerate(self.forms) for g in _cycle(f, self.D, s)}
+
+    def _lookup(self, f: Form) -> int:
+        return self._class_of[_reduced(f, self.D, math.isqrt(self.D))]
+
     def index_of(self, f: Form) -> int:
-        return self.forms.index(reduce_form(f))
+        # D is fundamental, so every form of discriminant D is primitive: a
+        # non-primitive form fails the discriminant check
+        if f.disc() != self.D:
+            raise ValueError(f"form {f} does not have discriminant {self.D}")
+        return self._lookup(f)
 
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
 
     def inv(self, i: int) -> int:
-        return self.forms.index(reduce_form(self.forms[i].inverse()))
+        return self._lookup(self.forms[i].inverse())
 
     def power(self, i: int, k: int) -> int:
         out = self.identity
@@ -224,19 +255,16 @@ class NarrowClassGroup:
 
 
 def _all_reduced_forms(D: int) -> list[Form]:
+    # 0 < b < sqrt(D) with b = D (mod 2), and |a| a divisor of
+    # M = (D - b^2)/4 = -ac in the window sqrt(D) - b < 2|a| < sqrt(D) + b
     s = math.isqrt(D)
     out = []
-    for b in range(1, s + 1):
-        if (D - b) % 2:
-            continue
-        M4 = D - b * b
-        if M4 <= 0 or M4 % 4:
-            continue
-        M = M4 // 4
-        for a_abs in range(1, M + 1):
-            if M % a_abs:
-                continue
-            # window sqrt(D)-b < 2|a| < sqrt(D)+b
+    for b in range(2 - D % 2, s + 1, 2):
+        M = (D - b * b) // 4
+        divisors = [1]
+        for p, e in factorize(M).factors:
+            divisors = [q * p**k for q in divisors for k in range(e + 1)]
+        for a_abs in divisors:
             t = 2 * a_abs
             if t - b >= 0 and (t - b) ** 2 >= D:
                 continue
@@ -281,13 +309,50 @@ def _decompose(table, identity, h):
     return gens
 
 
+def _check_associative(table, h: int, D: int) -> None:
+    # Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    # section 1.2): the elements a with (x a) y = x (a y) for all x, y are
+    # closed under the operation, so checking a in a generating set suffices.
+    # The generating set is built by closure under right multiplication, so
+    # it covers every class by construction and the search ends on any table.
+    gens: list[int] = []
+    reached: set[int] = set()
+    for g in range(h):
+        if g in reached:
+            continue
+        gens.append(g)
+        reached.add(g)
+        todo = list(reached)
+        while todo:
+            x = todo.pop()
+            for a in gens:
+                y = table[x][a]
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+    for a in gens:
+        row_a = table[a]
+        for x in range(h):
+            row_x, row_xa = table[x], table[table[x][a]]
+            for y in range(h):
+                if row_xa[y] != row_x[row_a[y]]:
+                    raise InvariantError(f"composition is not associative at {x}, {a}, {y}, D={D}")
+
+
 @lru_cache(maxsize=None)
 def class_group(D: int) -> NarrowClassGroup:
-    """Narrow class group of discriminant D from the full reduced-form census."""
+    """Narrow class group of discriminant D.
+
+    The reduced forms come from the divisors of (D - b^2)/4; walking their
+    cycles gives the classes (one canonical representative each) and a map
+    from every reduced form to its class.  The composition table composes
+    the representatives, steps each product to some reduced form and looks
+    it up in that map.
+    """
     _validate_disc(D)
     s = math.isqrt(D)
     reduced = set(_all_reduced_forms(D))
-    reps = []
+    cycles = []
     seen: set[Form] = set()
     for f in sorted(reduced):
         if f in seen:
@@ -296,32 +361,34 @@ def class_group(D: int) -> NarrowClassGroup:
         if not seen.isdisjoint(cyc):
             raise InvariantError(f"reduction cycles of {f} and an earlier form overlap, D={D}")
         seen |= set(cyc)
-        reps.append(min(cyc))
+        cycles.append(cyc)
     if seen != reduced:
         raise InvariantError(f"reduction cycles do not cover the reduced forms, D={D}")
-    reps.sort()
-    forms = tuple(reps)
-    index = {f: i for i, f in enumerate(forms)}
+    cycles.sort(key=min)
+    forms = tuple(min(cyc) for cyc in cycles)
+    class_of = {g: i for i, cyc in enumerate(cycles) for g in cyc}
     h = len(forms)
-    table = tuple(
-        tuple(index[compose(f, g)] for g in forms) for f in forms
-    )
+    pos = [_pos_a(f, D, s) for f in forms]
+    try:
+        table = tuple(
+            tuple(class_of[_reduced(_compose(f, g), D, s)] for g in pos) for f in pos
+        )
+    except KeyError as exc:
+        raise InvariantError(f"a product of reduced forms reduces to no known class, D={D}") from exc
     if D % 4 == 0:
         principal = Form(1, 0, -D // 4)
     else:
         principal = Form(1, 1, (1 - D) // 4)
-    identity = index[reduce_form(principal)]
+    identity = class_of[_reduced(principal, D, s)]
     # group sanity: identity row/column, associativity
     if not all(table[identity][j] == j and table[j][identity] == j for j in range(h)):
         raise InvariantError(f"principal class is not the identity of the table, D={D}")
-    for i in range(h):
-        for j in range(h):
-            for k in range(h):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise InvariantError(f"composition is not associative at {i}, {j}, {k}, D={D}")
+    _check_associative(table, h, D)
     gens = _decompose(table, identity, h)
     exponent = math.lcm(*(o for _, o in gens)) if gens else 1
-    return NarrowClassGroup(D, forms, table, identity, h, tuple(gens), exponent)
+    G = NarrowClassGroup(D, forms, table, identity, h, tuple(gens), exponent)
+    object.__setattr__(G, "_class_of", class_of)  # fills the cached_property
+    return G
 
 
 def frobenius_class(G: NarrowClassGroup, p: int) -> int:

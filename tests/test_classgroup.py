@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
 from charsum_oracle import characters
-from normcensus.arith import is_prime, kronecker
+from normcensus.arith import InvariantError, factorize, is_prime, kronecker
 from normcensus.classgroup import (
     Form,
+    _all_reduced_forms,
+    _check_associative,
     class_group,
     compose,
     frobenius_class,
@@ -13,6 +17,7 @@ from normcensus.classgroup import (
     sign_class,
 )
 from normcensus.quadfield import field_data
+from reduced_forms_oracle import all_reduced_forms_scan, check_associative_triples, reference_group
 
 # Squarefree d in both residue classes; D covers h+ = 1, 2 and 4.
 FIELDS = [2, 3, 5, 6, 7, 10, 13, 15, 21, 26, 34]
@@ -168,3 +173,87 @@ def test_characters_are_homomorphisms():
                     lhs = chi.exponent(G.op(i, j))
                     rhs = (chi.exponent(i) + chi.exponent(j)) % n
                     assert lhs == rhs
+
+
+def _fundamental_discriminants(limit):
+    for d in range(2, limit + 1):
+        D = d if d % 4 == 1 else 4 * d
+        if D <= limit and all(e == 1 for _, e in factorize(d).factors):
+            yield D
+
+
+def test_divisor_enumeration_matches_scan():
+    Ds = [*_fundamental_discriminants(5000), 53832, 166456]
+    assert len(Ds) == 1516 + 2  # fundamental D <= 5000, counted by _validate_disc
+    for D in Ds:
+        assert sorted(_all_reduced_forms(D)) == sorted(all_reduced_forms_scan(D)), D
+
+
+def test_table_matches_public_compose_reference():
+    # D = 53832 is Z/14 x Z/2 and D = 166456 (d = 41614) has h+ = 78
+    for D in (5, 8, 136, 1324, 53832, 166456):
+        G = class_group(D)
+        forms, table, identity, decomposition = reference_group(D)
+        assert G.forms == forms
+        assert G.table == table
+        assert G.identity == identity
+        assert G.decomposition == decomposition
+        assert G.h_plus == len(forms)
+    assert class_group(166456).h_plus == 78
+
+
+def test_light_test_agrees_with_triple_loop():
+    rng = random.Random(6)
+    tables = []
+    for D in (136, 1324, 53832):
+        table = class_group(D).table
+        tables.append(table)
+        h = len(table)
+        for _ in range(20):
+            rows = [list(r) for r in table]
+            rows[rng.randrange(h)][rng.randrange(h)] = rng.randrange(h)
+            tables.append(tuple(map(tuple, rows)))
+    for h in (1, 5, 12):
+        tables.append(tuple(tuple(0 for j in range(h)) for i in range(h)))  # zero semigroup
+        tables.append(tuple(tuple(i for j in range(h)) for i in range(h)))  # left zero
+        tables.append(tuple(tuple((i - j) % h for j in range(h)) for i in range(h)))
+        tables.append(tuple(tuple(rng.randrange(h) for j in range(h)) for i in range(h)))
+    outcomes = set()
+    for table in tables:
+        h = len(table)
+        try:
+            check_associative_triples(table, h, 0)
+            expected = True
+        except InvariantError:
+            expected = False
+        try:
+            _check_associative(table, h, 0)
+            got = True
+        except InvariantError as exc:
+            assert "composition is not associative at" in str(exc)
+            got = False
+        assert got == expected, table
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_group_lookup_behaviour_unchanged():
+    G = class_group(53832)
+    with pytest.raises(ValueError):
+        G.index_of(Form(1, 0, -34))  # discriminant 136
+    f = G.forms[3]
+    with pytest.raises(ValueError):
+        G.index_of(Form(2 * f.a, 2 * f.b, 2 * f.c))  # not primitive
+    for i in range(G.h_plus):
+        assert G.inv(i) == G.power(i, -1) == G.power(i, G.order_of(i) - 1)
+        assert G.op(i, G.inv(i)) == G.identity
+    assert "_class_of" not in repr(G)
+    class_group.cache_clear()
+    H = class_group(53832)
+    assert H is not G and H == G and hash(H) == hash(G)
+    # a group built by hand finds the same classes
+    K = dataclasses.replace(G)
+    assert K == G and hash(K) == hash(G)
+    for i, f in enumerate(G.forms):
+        t = Form(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
+        assert K.index_of(t) == G.index_of(t) == i

@@ -10,6 +10,7 @@ import pytest
 
 import normcensus
 from normcensus import cli, counting
+from normcensus.arith import factorize
 from normcensus.census import equation_spec, pell34_criterion
 from brute_oracle import brute_count
 from yscan_oracle import yscan_orbits
@@ -80,6 +81,25 @@ def test_solve_large_split_prime_is_fast(capsys):
     assert obj["solvable"] is True
     x, y = obj["witness"]
     assert x * x - 34 * y * y == p
+
+
+def test_large_discriminant_class_groups(capsys):
+    # D = 40000076 (prime d) and D = 38798760 (d = 2*3*...*19, h+ = 128):
+    # the reduced forms come from divisors of (D - b^2)/4, and the table from
+    # lookups, so these build in well under a second
+    start = time.perf_counter()
+    for d in (10000019, 9699690):
+        obj = run_json(capsys, "unit", str(d))
+        structure = obj["cyclic_structure"]
+        assert math.prod(structure) == obj["h_plus"]
+        # genus theory: the 2-rank of the narrow class group is #{p | D} - 1
+        assert sum(n % 2 == 0 for n in structure) == len(factorize(obj["D"]).factors) - 1
+    assert obj["h_plus"] == 128
+    obj = run_json(capsys, "solve", "9699690", "3535")
+    assert obj["solvable"] is True and obj["c_m"] == 256
+    x, y = obj["witness"]
+    assert x * x - 9699690 * y * y == 3535
+    assert time.perf_counter() - start < 60
 
 
 def test_d331_census_large_regulator(capsys):
