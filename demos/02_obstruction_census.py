@@ -3,8 +3,9 @@
 Local solvability at every prime is necessary but not sufficient: a
 character sum c_m over the narrow class group must also be nonzero.  The
 script walks the famous failures m = -1, -2 (solvable in every Z_p and in
-R, yet insolvable in Z) and checks the closed-form criterion against the
-general machinery.
+R, yet insolvable in Z), lists each verdict beside the number of unit
+orbits of solutions it found (nonzero exactly when solvable), and checks the
+closed-form criterion against the general machinery.
 
 Run:  python demos/02_obstruction_census.py
 """
@@ -18,13 +19,13 @@ for m in (-1, -2):
     print(f"m={m}: local [{local}]  c_m={v.c_m}  solvable={v.solvable}")
 
 print("\n== a census strip ==")
-print(" m   c_m  solvable  witness")
+print(" m   c_m  solvable  orbits  witness")
 for m in range(-12, 13):
     if m == 0:
         continue
     v = verdict(equation_spec(34, m))
     w = f"({v.witness[0]},{v.witness[1]})" if v.witness else "-"
-    print(f"{m:3d}  {v.c_m:3d}  {str(v.solvable):8s}  {w}")
+    print(f"{m:3d}  {v.c_m:3d}  {str(v.solvable):8s}  {v.orbits.orbit_count:6d}  {w}")
 
 print("\n== closed form vs character sum ==")
 disagreements = 0

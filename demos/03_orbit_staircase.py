@@ -12,29 +12,26 @@ Run:  python demos/03_orbit_staircase.py
 
 import math
 
-from normcensus.census import equation_spec, predicted_slope
-from normcensus.counting import calibration, count_via_orbits, exact_slope, fundamental_solutions
+from normcensus.census import equation_spec, verdict
 
-spec = equation_spec(34, 33)
-orbits = fundamental_solutions(spec)
+orbits = verdict(equation_spec(34, 33)).orbits
 print(f"d=34, m=33: {orbits.orbit_count} orbits, representatives:")
 for z in orbits.representatives:
     print(f"  {z}")
 
 print("\n== the staircase ==")
 print("        T   count   count/ln T   exact slope")
-slope = exact_slope(spec)
+slope = orbits.slope
 for k in (1, 2, 4, 10, 25, 50, 100):
     T = 10**k
-    n = count_via_orbits(spec, T)
+    n = orbits.count(T)
     print(f"  10^{k:<4d} {n:7d}   {n / math.log(T):10.6f}   {slope:.6f}")
 
 print("\n== calibration across m ==")
 print("  m   exact     predicted  ratio")
 for m in (1, 2, 9, 33, -33, 47):
-    s = equation_spec(34, m)
-    if fundamental_solutions(s).orbit_count == 0:
+    v = verdict(equation_spec(34, m))
+    if v.calibration is None:
         continue
-    e, p = exact_slope(s), predicted_slope(s)
-    print(f"{m:4d}  {e:.6f}  {p:.6f}   {calibration(s):.6f}")
+    print(f"{m:4d}  {v.orbits.slope:.6f}  {v.predicted_slope:.6f}   {v.calibration:.6f}")
 print(f"(2 * sqrt(136) = {2 * math.sqrt(136):.6f})")

@@ -34,14 +34,10 @@ from .census import (
     equation_spec,
     neg_pell_solvable,
     pell34_criterion,
-    predicted_slope,
     verdict,
 )
 from .counting import (
     SolutionOrbits,
-    calibration,
-    count_via_orbits,
-    exact_slope,
     fundamental_solutions,
 )
 from .localdata import (
@@ -86,12 +82,8 @@ __all__ = [
     "equation_spec",
     "neg_pell_solvable",
     "pell34_criterion",
-    "predicted_slope",
     "verdict",
     "SolutionOrbits",
-    "calibration",
-    "count_via_orbits",
-    "exact_slope",
     "fundamental_solutions",
     "arch_volume_hyperbola",
     "lemvol_coefficient",

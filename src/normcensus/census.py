@@ -3,20 +3,20 @@
 The decision procedure: m is representable integrally iff it is representable
 over every Z_p and a character sum c_m over the narrow class group is
 nonzero.  c_m also gives the predicted staircase slope of the point count.
+verdict returns the one record per equation: the local data, c_m, the unit
+orbits of the solutions, both slopes and their ratio, the calibration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .arith import Factorization, InvariantError, factorize, kronecker, sqrt_mod_prime_power
 from .classgroup import class_group, frobenius_class, sign_class
+from .counting import SolutionOrbits, fundamental_solutions
+from .localdata import locally_solvable
 from .quadfield import FieldData, field_data
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .counting import SolutionOrbits
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,12 @@ def c_m(spec: EquationSpec) -> int:
     return G.h_plus * dist.get(target, 0)
 
 
-def _slope(spec: EquationSpec, c: int) -> float:
-    return 2 * c / (class_group(spec.D).h_plus * math.sqrt(spec.D) * spec.field.log_eps)
-
-
-def predicted_slope(spec: EquationSpec) -> float:
-    """Predicted staircase slope 2*c_m / (h_plus * sqrt(D) * log eps)."""
-    return _slope(spec, c_m(spec))
-
-
 @dataclass(frozen=True)
 class CensusVerdict:
+    """Everything the criterion says about one equation, and what its
+    solutions show.  calibration = orbits.slope / predicted_slope when
+    solvable, else None."""
+
     d: int
     m: int
     locally_solvable: dict[int, bool]
@@ -130,41 +125,41 @@ class CensusVerdict:
     solvable: bool
     predicted_slope: float
     witness: tuple[int, int] | None
+    orbits: SolutionOrbits
+    calibration: float | None
     m1: int | None = None
 
 
-def _witness(spec: EquationSpec, orbits: "SolutionOrbits | None" = None) -> tuple[int, int]:
-    from . import counting
-
-    if orbits is None:
-        orbits = counting.fundamental_solutions(spec)
-    if not orbits.representatives:
-        raise InvariantError(
-            f"criterion says solvable but no orbit found for d={spec.d}, m={spec.m}"
-        )
-    best = min(
-        (z.coords() for z in orbits.representatives),
-        key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy[0] < 0, xy[1] < 0),
-    )
-    return best
-
-
-def verdict(spec: EquationSpec, orbits: "SolutionOrbits | None" = None) -> CensusVerdict:
-    """Full decision: local solvability at every bad prime plus the character sum.
-
-    The witness is taken from orbits when given (the result of
-    counting.fundamental_solutions for spec), else they are computed.
-    """
-    from . import localdata
-
-    bad = {p for p, _ in factorize(spec.d).factors} | {p for p, _ in spec.m_fact.factors}
-    places = sorted({2} | bad)
-    local = {p: localdata.locally_solvable(spec, p) for p in places}
-    c = c_m(spec)
+def _finish(spec: EquationSpec, local: dict[int, bool], c: int, m1: int | None = None) -> CensusVerdict:
+    # shared by verdict and pell34_criterion: the orbits must agree with the criterion
     solvable = all(local.values()) and c > 0
-    slope = _slope(spec, c)
-    witness = _witness(spec, orbits) if solvable else None
-    return CensusVerdict(spec.d, spec.m, local, c, solvable, slope, witness)
+    orbits = fundamental_solutions(spec)
+    if solvable != (orbits.orbit_count > 0):
+        said = "solvable" if solvable else "unsolvable"
+        raise InvariantError(
+            f"criterion says {said} but {orbits.orbit_count} orbits found for d={spec.d}, m={spec.m}"
+        )
+    slope = 2 * c / (class_group(spec.D).h_plus * math.sqrt(spec.D) * spec.field.log_eps)
+    witness = None
+    if solvable:
+        witness = min(
+            (z.coords() for z in orbits.representatives),
+            key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy[0] < 0, xy[1] < 0),
+        )
+    calibration = orbits.slope / slope if solvable else None
+    return CensusVerdict(spec.d, spec.m, local, c, solvable, slope, witness, orbits, calibration, m1)
+
+
+def verdict(spec: EquationSpec) -> CensusVerdict:
+    """Full decision: local solvability at every bad prime plus the character
+    sum, checked against the unit orbits of the solutions.
+
+    The predicted staircase slope is 2*c_m / (h_plus * sqrt(D) * log eps).
+    Raises InvariantError when the criterion and the orbits disagree.
+    """
+    places = sorted({2, *spec.field.primes, *(p for p, _ in spec.m_fact.factors)})
+    local = {p: locally_solvable(spec, p) for p in places}
+    return _finish(spec, local, c_m(spec))
 
 
 def _prod(xs) -> int:
@@ -196,7 +191,6 @@ def pell34_criterion(m: int) -> CensusVerdict:
     local = {2: m1 % 8 in (1, 7), 17: kronecker(m1, 17) == 1}
     for p, e, t in tagged:
         local[p] = e % 2 == 0 or kronecker(34, p) == 1
-    locally_ok = all(local.values())
 
     # trivial character; quadratic character (Pi_1 classes square to -1,
     # Pi_4 classes to +1); the conjugate quartic pair, whose
@@ -218,11 +212,7 @@ def pell34_criterion(m: int) -> CensusVerdict:
     c = term1 + term2 + term3
     if c < 0:
         raise InvariantError(f"closed-form character sum {c} < 0 for m={m}")
-
-    solvable = locally_ok and c > 0
-    slope = _slope(spec, c)
-    witness = _witness(spec) if solvable else None
-    return CensusVerdict(34, m, local, c, solvable, slope, witness, m1=m1)
+    return _finish(spec, local, c, m1)
 
 
 def neg_pell_solvable(delta: int) -> bool:

@@ -14,13 +14,12 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any
 
 from .census import equation_spec, verdict
 from .classgroup import class_group
-from .counting import count_via_orbits, exact_slope, fundamental_solutions
+from .counting import fundamental_solutions
 from .hassewitt import c_n_a
 from .localdata import local_density
 from .quadfield import field_data
@@ -79,17 +78,18 @@ def _json_str(x: Any) -> str:
     return json.dumps(_walk(x), default=_json_default)
 
 
-def _threads() -> int:
+def _threads() -> None:
+    # census runs serially; NORMCENSUS_THREADS is only validated, so a bad
+    # value still exits 2 and every valid one gives the same output
     raw = os.environ.get("NORMCENSUS_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return
     try:
         k = int(raw)
     except ValueError:
         raise ValueError(f"NORMCENSUS_THREADS must be a positive integer, got {raw!r}")
     if k < 1:
         raise ValueError("NORMCENSUS_THREADS must be >= 1")
-    return k
 
 
 def _cmd_unit(args: argparse.Namespace) -> dict[str, Any]:
@@ -126,22 +126,18 @@ def _cmd_solve(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _census_row(d: int, m: int, exponents: list[int]) -> dict[str, Any]:
-    spec = equation_spec(d, m)
-    orbits = fundamental_solutions(spec)
-    v = verdict(spec, orbits)
-    slope = exact_slope(spec, orbits)
+    v = verdict(equation_spec(d, m))
     row: dict[str, Any] = {
         "m": m,
         "solvable": v.solvable,
         "c_m": v.c_m,
-        "orbit_count": orbits.orbit_count,
-        "exact_slope": slope,
+        "orbit_count": v.orbits.orbit_count,
+        "exact_slope": v.orbits.slope,
         "predicted_slope": v.predicted_slope,
-        # calibration(spec), without computing c_m and the orbits again
-        "calibration": slope / v.predicted_slope if v.solvable and v.c_m > 0 else None,
+        "calibration": v.calibration,
     }
     if exponents:
-        row["counts"] = {str(k): count_via_orbits(spec, 10**k, orbits) for k in exponents}
+        row["counts"] = {str(k): v.orbits.count(10**k) for k in exponents}
     return row
 
 
@@ -154,9 +150,8 @@ def _cmd_census(args: argparse.Namespace) -> dict[str, Any]:
     if not ms:
         raise ValueError(f"m range {args.m_range} is empty")
     exponents = [int(k) for k in args.T_exponents.split(",")] if args.T_exponents else []
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(lambda m: _census_row(args.d, m, exponents), ms))
-    rows.sort(key=lambda r: r["m"])
+    _threads()
+    rows = [_census_row(args.d, m, exponents) for m in ms]
     cals = [r["calibration"] for r in rows if r["calibration"] is not None]
     summary: dict[str, Any] = {"rows": len(rows), "solvable": sum(r["solvable"] for r in rows)}
     if cals:
@@ -169,7 +164,7 @@ def _cmd_census(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
     spec = equation_spec(args.d, args.m)
     T = int(args.T)
-    count = count_via_orbits(spec, T)
+    count = fundamental_solutions(spec).count(T)
     return {"d": args.d, "m": args.m, "T": T, "count": count}
 
 

@@ -1,4 +1,4 @@
-"""Exact integral-point counts by unit-orbit enumeration, and the staircase
+"""Unit orbits of the solutions of N(z) = m: exact counts and the staircase
 slope they give.
 
 Solutions of N(z) = m fall into finitely many orbits under multiplication by
@@ -12,8 +12,10 @@ the SL2(Z) transform either reaches the principal form, which yields a
 solution, or shows the ideal's class is not the target.  This costs time
 polynomial in log|m| plus the cycle length, O(log eps); a scan over y would
 take O(sqrt(|m| eps / d)) steps (tests/yscan_oracle.py keeps it as a check).
-Walking each orbit through the height box counts the solutions exactly for
-any T >= 0; the direct scan over y that it replaced is tests/brute_oracle.py.
+SolutionOrbits.count walks each orbit through the height box and counts the
+solutions exactly for any T >= 0; the direct scan over y that it replaced is
+tests/brute_oracle.py.  SolutionOrbits.slope is the exact coefficient of
+log T; census.verdict compares it with the slope that c_m predicts.
 """
 
 from __future__ import annotations
@@ -33,10 +35,45 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class SolutionOrbits:
-    d: int
-    m: int
+    spec: "EquationSpec"
     representatives: tuple[QuadElem, ...]
     orbit_count: int
+
+    def count(self, T: int) -> int:
+        """Number of solutions with max(|x|, |y|) <= T, by walking each orbit.
+
+        Works for astronomically large T (exact big-integer arithmetic only).
+        """
+        if T < 0:
+            raise ValueError("T must be nonnegative")
+        spec = self.spec
+        d, m = spec.d, spec.m
+        eps = spec.field.eps
+        eps_inv = eps.conj()
+        # |sigma_1| cutoff beyond which max(|x|,|y|) > T is guaranteed:
+        # |z1| <= (1 + sqrt(d)) * T + sqrt(|m| eps) for any solution in the box
+        s = math.isqrt(d)
+        B = 3 * (s + 1) * max(T, 1) + math.isqrt(int(abs(m) * _eps_upper(spec))) + 2
+        m2 = m * m
+        total = 0
+        for rep in self.representatives:
+            z = rep
+            while z.abs1_leq(B):
+                if z.height() <= T:
+                    total += 1
+                z = z * eps
+            z = rep * eps_inv
+            # walk down while |sigma_2(z)| <= B, i.e. |sigma_1| >= |m| / B
+            while ((z * z).scale(B * B) - QuadElem(m2, 0, 1, d)).sign_embed1() >= 0:
+                if z.height() <= T:
+                    total += 1
+                z = z * eps_inv
+        return total
+
+    @property
+    def slope(self) -> float:
+        """Exact staircase slope 2 * orbit_count / log(eps)."""
+        return 2 * self.orbit_count / self.spec.field.log_eps
 
 
 def _eps_upper(spec: "EquationSpec") -> Fraction:
@@ -109,56 +146,4 @@ def fundamental_solutions(spec: "EquationSpec") -> SolutionOrbits:
             reps.add(_window_reduce(z, spec))
             reps.add(_window_reduce(-z, spec))
     ordered = tuple(sorted(reps, key=lambda z: (z.a, z.b, z.denom)))
-    return SolutionOrbits(d, m, ordered, len(ordered))
-
-
-def count_via_orbits(spec: "EquationSpec", T: int, orbits: SolutionOrbits | None = None) -> int:
-    """Number of solutions with max(|x|, |y|) <= T, by walking each orbit.
-
-    Works for astronomically large T (exact big-integer arithmetic only).
-    orbits, when given, is fundamental_solutions(spec), computed once by a
-    caller that needs it for several quantities.
-    """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    d, m = spec.d, spec.m
-    if orbits is None:
-        orbits = fundamental_solutions(spec)
-    eps = spec.field.eps
-    eps_inv = eps.conj()
-    # |sigma_1| cutoff beyond which max(|x|,|y|) > T is guaranteed:
-    # |z1| <= (1 + sqrt(d)) * T + sqrt(|m| eps) for any solution in the box
-    s = math.isqrt(d)
-    B = 3 * (s + 1) * max(T, 1) + math.isqrt(int(abs(m) * _eps_upper(spec))) + 2
-    m2 = m * m
-    total = 0
-    for rep in orbits.representatives:
-        z = rep
-        while z.abs1_leq(B):
-            if z.height() <= T:
-                total += 1
-            z = z * eps
-        z = rep * eps_inv
-        # walk down while |sigma_2(z)| <= B, i.e. |sigma_1| >= |m| / B
-        while ((z * z).scale(B * B) - QuadElem(m2, 0, 1, d)).sign_embed1() >= 0:
-            if z.height() <= T:
-                total += 1
-            z = z * eps_inv
-    return total
-
-
-def exact_slope(spec: "EquationSpec", orbits: SolutionOrbits | None = None) -> float:
-    """Exact staircase slope 2 * orbit_count / log(eps); orbits as in
-    count_via_orbits."""
-    if orbits is None:
-        orbits = fundamental_solutions(spec)
-    return 2 * orbits.orbit_count / spec.field.log_eps
-
-
-def calibration(spec: "EquationSpec") -> float:
-    """Ratio exact_slope / predicted_slope; rejects equations with c_m = 0."""
-    from .census import c_m, predicted_slope
-
-    if c_m(spec) == 0:
-        raise ValueError("calibration undefined when the character sum vanishes")
-    return exact_slope(spec) / predicted_slope(spec)
+    return SolutionOrbits(spec, ordered, len(ordered))

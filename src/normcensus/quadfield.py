@@ -172,6 +172,7 @@ class FieldData:
     norm_eps0: int
     eps: QuadElem
     log_eps: float
+    primes: tuple[int, ...]  # the primes dividing d
 
     def omega(self) -> QuadElem:
         if self.d % 4 == 1:
@@ -211,7 +212,8 @@ def field_data(d: int) -> FieldData:
     """Invariants of Q(sqrt(d)): discriminant, fundamental unit, norm-one unit."""
     if d < 2:
         raise ValueError("d must be an integer >= 2")
-    if any(e > 1 for _, e in factorize(d).factors):
+    d_fact = factorize(d)
+    if any(e > 1 for _, e in d_fact.factors):
         raise ValueError(f"d={d} is not squarefree")
     D = d if d % 4 == 1 else 4 * d
     eps0 = _cf_fundamental_unit(d)
@@ -225,4 +227,5 @@ def field_data(d: int) -> FieldData:
         raise InvariantError(f"eps * conj(eps) != 1 for eps = {eps}, d={d}")
     if not (eps0.sign_embed1() > 0 and (eps0 - QuadElem(1, 0, 1, d)).sign_embed1() > 0):
         raise InvariantError(f"fundamental unit {eps0} is not > 1 for d={d}")
-    return FieldData(d, D, eps0, int(n0), eps, _log_embed1(eps))
+    primes = tuple(p for p, _ in d_fact.factors)
+    return FieldData(d, D, eps0, int(n0), eps, _log_embed1(eps), primes)

@@ -47,7 +47,7 @@ def brute_count(spec: EquationSpec, T: int) -> int:
     if T > _BRUTE_LIMIT:
         raise ValueError(
             f"T={T} exceeds the direct-scan budget ({_BRUTE_LIMIT}); "
-            "use count_via_orbits"
+            "use SolutionOrbits.count"
         )
     d, m = spec.d, spec.m
     if d % 4 == 1:

@@ -17,12 +17,7 @@ from normcensus.census import (
     verdict,
 )
 from normcensus.classgroup import class_group, frobenius_class, sign_class
-from normcensus.counting import (
-    calibration,
-    count_via_orbits,
-    exact_slope,
-    fundamental_solutions,
-)
+from normcensus.counting import fundamental_solutions
 from normcensus.hassewitt import arch_h_limit, c_n_a, diagonalize, hasse_invariant
 from normcensus.localdata import arch_volume_hyperbola, lemvol_coefficient, local_density
 from normcensus.quadfield import field_data
@@ -151,10 +146,10 @@ def test_criterion_08_calibration_is_m_independent():
         for m in range(-50, 51):
             if m == 0:
                 continue
-            spec = equation_spec(d, m)
-            if not verdict(spec).solvable:
+            v = verdict(equation_spec(d, m))
+            if not v.solvable:
                 continue
-            vals.append(calibration(spec))
+            vals.append(v.calibration)
         mean = sum(vals) / len(vals)
         spread = (max(vals) - min(vals)) / mean
         report[d] = mean
@@ -168,11 +163,12 @@ def test_criterion_09_staircase_convergence():
     bad = []
     for m in (1, 2, 33):
         spec = equation_spec(34, m)
-        slope = exact_slope(spec)
-        oc = fundamental_solutions(spec).orbit_count
+        orbits = fundamental_solutions(spec)
+        slope = orbits.slope
+        oc = orbits.orbit_count
         for k in range(1, 11):
             logt = 10 * k * math.log(10)
-            lhs = abs(count_via_orbits(spec, 10 ** (10 * k)) / logt - slope)
+            lhs = abs(orbits.count(10 ** (10 * k)) / logt - slope)
             if lhs > 2 * oc / logt:
                 bad.append((m, k))
     ok = not bad

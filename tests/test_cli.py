@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import normcensus
-from normcensus import cli, counting
+from normcensus import census, cli, counting
 from normcensus.arith import factorize
 from normcensus.census import equation_spec, pell34_criterion
 from brute_oracle import brute_count
@@ -148,6 +148,18 @@ def test_optimized_invariant_violation_exits_3():
     assert "internal invariant violated" in proc.stderr
 
 
+def test_optimized_reverse_invariant_violation_exits_3():
+    # c_m = 0 makes the criterion say unsolvable while an orbit exists
+    proc = _run_optimized(
+        "-c",
+        "import sys; from normcensus import census, cli\n"
+        "census.c_m = lambda spec: 0\n"
+        "sys.exit(cli.main(['solve', '34', '33']))",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "internal invariant violated" in proc.stderr
+
+
 def test_optimized_unit_invariant_violation_exits_3():
     # a norm that lies makes the norm-one unit fail its check in field_data
     proc = _run_optimized(
@@ -169,9 +181,15 @@ def test_census_computes_orbits_once_per_row(capsys, monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(counting, "fundamental_solutions", counted)
+    monkeypatch.setattr(census, "fundamental_solutions", counted)
     monkeypatch.setattr(cli, "fundamental_solutions", counted)
     obj = run_json(capsys, "census", "34", "--m-range=-20..20", "--T-exponents", "2,100")
     assert sorted(calls) == [r["m"] for r in obj["rows"]]
+    # and once per solve, solvable or not, and per count
+    for argv in (("solve", "34", "33"), ("solve", "34", "3"), ("count", "34", "33", "10")):
+        calls.clear()
+        run_json(capsys, *argv)
+        assert calls == [int(argv[2])], argv
 
 
 def test_cli_import_loads_no_scipy():

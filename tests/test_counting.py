@@ -1,19 +1,25 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normcensus.census import c_m, equation_spec
+from normcensus.arith import factorize
+from normcensus.census import c_m, equation_spec, verdict
 from normcensus.classgroup import class_group
-from normcensus.counting import (
-    _window_reduce,
-    calibration,
-    count_via_orbits,
-    exact_slope,
-    fundamental_solutions,
-)
+from normcensus.counting import _window_reduce, fundamental_solutions
 from normcensus.quadfield import QuadElem
 from brute_oracle import brute_count
+from charsum_oracle import c_m_charsum
 from yscan_oracle import yscan_orbits
+
+# squarefree d <= 200 with log eps < 16, so the y-scan oracle stays cheap
+SMALL_REGULATOR_FIELDS = [
+    d
+    for d in range(2, 201)
+    if all(e == 1 for _, e in factorize(d).factors)
+    and equation_spec(d, 1).field.log_eps < 16
+]
 
 
 def test_brute_count_frozen():
@@ -123,49 +129,67 @@ def test_orbit_count_matches_brute_force():
             if m == 0:
                 continue
             spec = equation_spec(d, m)
+            orbits = fundamental_solutions(spec)
             for T in (0, 1, 10, 100, 1000, 10**4):
-                assert brute_count(spec, T) == count_via_orbits(spec, T), (d, m, T)
+                assert brute_count(spec, T) == orbits.count(T), (d, m, T)
 
 
 def test_orbit_count_frozen_boundaries():
-    spec = equation_spec(34, 2)
+    orbits = fundamental_solutions(equation_spec(34, 2))
     # (414, 71) solves x^2 - 34 y^2 = 2; four points enter at height 414
-    assert count_via_orbits(spec, 413) == 4
-    assert count_via_orbits(spec, 414) == 8
-    assert count_via_orbits(equation_spec(34, 1), 10**100) == 218
+    assert orbits.count(413) == 4
+    assert orbits.count(414) == 8
+    assert fundamental_solutions(equation_spec(34, 1)).count(10**100) == 218
 
 
 def test_orbit_count_monotone_in_T():
-    spec = equation_spec(34, 33)
+    orbits = fundamental_solutions(equation_spec(34, 33))
     prev = 0
     for T in (1, 10, 50, 10**3, 10**6, 10**12, 10**30):
-        cur = count_via_orbits(spec, T)
+        cur = orbits.count(T)
         assert cur >= prev
         prev = cur
     assert prev > 0
 
 
 def test_insolvable_counts_to_zero_at_any_height():
-    assert count_via_orbits(equation_spec(34, 3), 10**50) == 0
-    assert count_via_orbits(equation_spec(34, -1), 10**50) == 0
+    assert fundamental_solutions(equation_spec(34, 3)).count(10**50) == 0
+    assert fundamental_solutions(equation_spec(34, -1)).count(10**50) == 0
 
 
 def test_exact_slope_frozen():
-    s = exact_slope(equation_spec(34, 1))
+    s = fundamental_solutions(equation_spec(34, 1)).slope
     assert s == 4 / math.log(35 + 6 * math.sqrt(34))
     assert s == pytest.approx(0.9415550648032848, rel=1e-15)
-    assert exact_slope(equation_spec(2, -1)) == pytest.approx(2.269185314213022, rel=1e-15)
+    assert fundamental_solutions(equation_spec(2, -1)).slope == pytest.approx(2.269185314213022, rel=1e-15)
 
 
 def test_brute_budget_error_mentions_orbit_path():
-    with pytest.raises(ValueError, match="count_via_orbits"):
+    with pytest.raises(ValueError, match="SolutionOrbits.count"):
         brute_count(equation_spec(34, 1), 10**8 + 1)
     with pytest.raises(ValueError):
         brute_count(equation_spec(34, 1), -1)
 
 
 def test_calibration_value_and_rejection():
-    assert calibration(equation_spec(34, 1)) == pytest.approx(2 * math.sqrt(136), rel=1e-12)
-    assert calibration(equation_spec(2, -1)) == pytest.approx(2 * math.sqrt(8), rel=1e-12)
-    with pytest.raises(ValueError):
-        calibration(equation_spec(34, 3))
+    assert verdict(equation_spec(34, 1)).calibration == pytest.approx(2 * math.sqrt(136), rel=1e-12)
+    assert verdict(equation_spec(2, -1)).calibration == pytest.approx(2 * math.sqrt(8), rel=1e-12)
+    # c_m = 0 at (34, 3); c_m = 1 at (2, -59), which fails at 2 and 59
+    assert verdict(equation_spec(34, 3)).calibration is None
+    assert verdict(equation_spec(2, -59)).calibration is None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    d=st.sampled_from(SMALL_REGULATOR_FIELDS),
+    m=st.integers(-300, 300).filter(lambda m: m != 0),
+)
+def test_verdict_matches_oracles_random(d, m):
+    spec = equation_spec(d, m)
+    v = verdict(spec)
+    scanned = yscan_orbits(spec)
+    assert v.solvable == (scanned.orbit_count > 0)
+    assert v.orbits.representatives == scanned.representatives
+    assert v.c_m == c_m_charsum(spec)
+    for T in (0, 1, 10, 1000):
+        assert v.orbits.count(T) == brute_count(spec, T), T

@@ -33,4 +33,4 @@ def yscan_orbits(spec: EquationSpec) -> SolutionOrbits:
             assert spec.evaluate(x, y) == m
             reps.add(_window_reduce(QuadElem.from_coords(d, x, y), spec))
     ordered = tuple(sorted(reps, key=lambda z: (z.a, z.b, z.denom)))
-    return SolutionOrbits(d, m, ordered, len(ordered))
+    return SolutionOrbits(spec, ordered, len(ordered))
