@@ -149,6 +149,8 @@ def _cmd_census(args: argparse.Namespace) -> dict[str, Any]:
     ms = [m for m in range(lo, hi + 1) if m != 0]
     if not ms:
         raise ValueError(f"m range {args.m_range} is empty")
+    if args.T_exponents is not None and not re.fullmatch(r"\d+(,\d+)*", args.T_exponents):
+        raise ValueError(f"--T-exponents must be nonnegative integers k1,k2,..., got {args.T_exponents!r}")
     exponents = [int(k) for k in args.T_exponents.split(",")] if args.T_exponents else []
     _threads()
     rows = [_census_row(args.d, m, exponents) for m in ms]

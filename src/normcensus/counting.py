@@ -12,17 +12,15 @@ the SL2(Z) transform either reaches the principal form, which yields a
 solution, or shows the ideal's class is not the target.  This costs time
 polynomial in log|m| plus the cycle length, O(log eps); a scan over y would
 take O(sqrt(|m| eps / d)) steps (tests/yscan_oracle.py keeps it as a check).
-SolutionOrbits.count walks each orbit through the height box and counts the
-solutions exactly for any T >= 0; the direct scan over y that it replaced is
-tests/brute_oracle.py.  SolutionOrbits.slope is the exact coefficient of
-log T; census.verdict compares it with the slope that c_m predicts.
+SolutionOrbits.count is exact for any T >= 0, by binary lifting over eps^(2^j)
+(tests/walk_oracle.py keeps the step-by-step walk it replaced as a check).
+SolutionOrbits.slope is the exact coefficient of log T; census.verdict
+compares it with the slope that c_m predicts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import InvariantError, sqrt_roots_mod
@@ -40,47 +38,54 @@ class SolutionOrbits:
     orbit_count: int
 
     def count(self, T: int) -> int:
-        """Number of solutions with max(|x|, |y|) <= T, by walking each orbit.
+        """Number of solutions with max(|x|, |y|) <= T, for any T >= 0.
 
-        Works for astronomically large T (exact big-integer arithmetic only).
+        Along an orbit, x and y of z * eps^k are each A e^t + B e^-t with
+        t = k log(eps): convex, monotone or with one sign change, so |x|, |y|
+        and their max, the height, are strictly quasi-convex in t.  Hence the
+        k with height <= T form one interval, and the height strictly drops
+        before its minimum.  Each orbit steps by eps^(+-1) from its window
+        representative while the exact height drops; then, each way, it
+        squares eps^(2^j) until a product's height exceeds T and binary-lifts
+        back down that ladder.  Only integer heights are compared, and an
+        orbit costs O(log(log T / log eps)) products.
         """
         if T < 0:
             raise ValueError("T must be nonnegative")
-        spec = self.spec
-        d, m = spec.d, spec.m
-        eps = spec.field.eps
-        eps_inv = eps.conj()
-        # |sigma_1| cutoff beyond which max(|x|,|y|) > T is guaranteed:
-        # |z1| <= (1 + sqrt(d)) * T + sqrt(|m| eps) for any solution in the box
-        s = math.isqrt(d)
-        B = 3 * (s + 1) * max(T, 1) + math.isqrt(int(abs(m) * _eps_upper(spec))) + 2
-        m2 = m * m
+        eps = self.spec.field.eps
+        ladders = ([eps], [eps.conj()])  # eps^(2^j) and eps^(-2^j), grown on demand
         total = 0
         for rep in self.representatives:
-            z = rep
-            while z.abs1_leq(B):
-                if z.height() <= T:
-                    total += 1
-                z = z * eps
-            z = rep * eps_inv
-            # walk down while |sigma_2(z)| <= B, i.e. |sigma_1| >= |m| / B
-            while ((z * z).scale(B * B) - QuadElem(m2, 0, 1, d)).sign_embed1() >= 0:
-                if z.height() <= T:
-                    total += 1
-                z = z * eps_inv
+            z, h = rep, rep.height()
+            for ladder in ladders:
+                w = z * ladder[0]
+                while (hw := w.height()) < h:
+                    z, h, w = w, hw, w * ladder[0]
+            if h > T:
+                continue
+            total += 1
+            for ladder in ladders:
+                # height(z * eps^(+-n)) never falls as n grows: n ends as the
+                # largest n at which it is <= T
+                cur, n, j = z, 0, 0
+                while True:
+                    if j == len(ladder):
+                        ladder.append(ladder[-1] * ladder[-1])
+                    w = z * ladder[j]
+                    if w.height() > T:
+                        break
+                    cur, n, j = w, 1 << j, j + 1
+                for i in reversed(range(j - 1)):
+                    w = cur * ladder[i]
+                    if w.height() <= T:
+                        cur, n = w, n + (1 << i)
+                total += n
         return total
 
     @property
     def slope(self) -> float:
         """Exact staircase slope 2 * orbit_count / log(eps)."""
         return 2 * self.orbit_count / self.spec.field.log_eps
-
-
-def _eps_upper(spec: "EquationSpec") -> Fraction:
-    # rational upper bound on eps = (a + b sqrt(d))/denom
-    eps = spec.field.eps
-    s = math.isqrt(spec.d)
-    return Fraction(eps.a + eps.b * (s + 1), eps.denom)
 
 
 def _window_reduce(z: QuadElem, spec: "EquationSpec") -> QuadElem:

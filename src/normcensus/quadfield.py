@@ -136,13 +136,6 @@ class QuadElem:
         rt = math.sqrt(self.d)
         return ((self.a + self.b * rt) / self.denom, (self.a - self.b * rt) / self.denom)
 
-    def abs1_leq(self, bound: int) -> bool:
-        """Exact test |sigma_1(self)| <= bound for a nonnegative integer bound."""
-        sq = self * self  # sigma_1(sq) = sigma_1(self)^2 >= 0
-        # compare (sq.a + sq.b sqrt(d))/denom <= bound^2
-        lhs = QuadElem.make(sq.a - sq.denom * bound * bound, sq.b, self.d, sq.denom)
-        return lhs.sign_embed1() <= 0
-
     def __str__(self) -> str:
         core = f"{self.a}"
         if self.b:

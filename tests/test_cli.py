@@ -296,6 +296,13 @@ def test_census_malformed_range(capsys):
     assert rc == 2
 
 
+def test_census_rejects_negative_or_empty_exponent(capsys):
+    # 10**-1 is the float 0.1, which would count up to a fractional height
+    for bad in ("-1,2", "2,,100", ""):
+        rc, out, err = run(capsys, "census", "34", "--m-range=1..2", f"--T-exponents={bad}")
+        assert rc == 2 and out == "" and "--T-exponents" in err, bad
+
+
 def test_census_counts_column(capsys):
     obj = run_json(capsys, "census", "34", "--m-range", "1..2", "--T-exponents", "2,100")
     for row in obj["rows"]:

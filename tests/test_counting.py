@@ -1,7 +1,8 @@
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normcensus.arith import factorize
@@ -11,6 +12,7 @@ from normcensus.counting import _window_reduce, fundamental_solutions
 from normcensus.quadfield import QuadElem
 from brute_oracle import brute_count
 from charsum_oracle import c_m_charsum
+from walk_oracle import walk_count
 from yscan_oracle import yscan_orbits
 
 # squarefree d <= 200 with log eps < 16, so the y-scan oracle stays cheap
@@ -140,6 +142,9 @@ def test_orbit_count_frozen_boundaries():
     assert orbits.count(413) == 4
     assert orbits.count(414) == 8
     assert fundamental_solutions(equation_spec(34, 1)).count(10**100) == 218
+    # the window representative 4 - omega has height 4, but the minimum of
+    # its orbit is (4 - omega) * eps = 3 + 2*omega, of height 3
+    assert fundamental_solutions(equation_spec(5, 11)).count(3) == 4
 
 
 def test_orbit_count_monotone_in_T():
@@ -155,6 +160,45 @@ def test_orbit_count_monotone_in_T():
 def test_insolvable_counts_to_zero_at_any_height():
     assert fundamental_solutions(equation_spec(34, 3)).count(10**50) == 0
     assert fundamental_solutions(equation_spec(34, -1)).count(10**50) == 0
+
+
+@st.composite
+def _count_cases(draw):
+    # (orbits, T), T often the height of an orbit member or one off it
+    d = draw(st.sampled_from(SMALL_REGULATOR_FIELDS))
+    if draw(st.booleans()):
+        m = draw(st.integers(-300, 300).filter(lambda m: m != 0))
+    else:  # a norm, so the equation is solvable
+        m = equation_spec(d, 1).evaluate(draw(st.integers(-30, 30)), draw(st.integers(-2, 2)))
+        assume(0 < abs(m) <= 300)
+    orbits = fundamental_solutions(equation_spec(d, m))
+    kind = draw(st.sampled_from(["member", "power", "small"]))
+    if kind == "small":
+        return orbits, draw(st.sampled_from([0, 1]))
+    if kind == "power" or not orbits.representatives:
+        return orbits, 10 ** draw(st.integers(0, 60))
+    rep = draw(st.sampled_from(orbits.representatives))
+    h = (rep * orbits.spec.field.eps ** draw(st.integers(-40, 40))).height()
+    return orbits, h + draw(st.integers(-1, 1))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_count_cases())
+def test_count_matches_walk_random(case):
+    orbits, T = case
+    assert orbits.count(T) == walk_count(orbits, T), (orbits.spec.d, orbits.spec.m, T)
+
+
+def test_count_at_huge_T():
+    for d, m in [(34, 33), (5, -11), (13458, 49)]:
+        orbits = fundamental_solutions(equation_spec(d, m))
+        assert orbits.count(10**500) == walk_count(orbits, 10**500), (d, m)
+        start = time.perf_counter()
+        n = orbits.count(10**10000)
+        assert time.perf_counter() - start < 10, (d, m)
+        # within one per orbit of the slope, as perfbench checks at 10^100
+        expect = orbits.slope * (math.log(2) + 10000 * math.log(10) - math.log(abs(m)) / 2)
+        assert n % 2 == 0 and abs(n - expect) <= orbits.orbit_count, (d, m, n, expect)
 
 
 def test_exact_slope_frozen():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from normcensus.quadfield import QuadElem, field_data
+from walk_oracle import abs1_leq
 
 
 def _brute_fundamental_unit(d):
@@ -120,11 +121,11 @@ def test_unit_inverse_and_pow():
 def test_exact_embedding_comparisons():
     z = QuadElem(6, -1, 1, 34)  # 6 - sqrt(34) = 0.169...
     assert z.sign_embed1() == 1
-    assert z.abs1_leq(1)
-    assert not z.abs1_leq(0)
+    assert abs1_leq(z, 1)
+    assert not abs1_leq(z, 0)
     w = QuadElem(-6, -1, 1, 34)  # -11.83...
     assert w.sign_embed1() == -1
-    assert w.abs1_leq(12) and not w.abs1_leq(11)
+    assert abs1_leq(w, 12) and not abs1_leq(w, 11)
 
 
 def test_half_integer_validation():

@@ -14,10 +14,11 @@ import math
 from fractions import Fraction
 
 from normcensus.census import EquationSpec
-from normcensus.counting import SolutionOrbits, _eps_upper, _window_reduce
+from normcensus.counting import SolutionOrbits, _window_reduce
 from normcensus.quadfield import QuadElem
 
 from brute_oracle import _x_solutions
+from walk_oracle import _eps_upper
 
 
 def yscan_orbits(spec: EquationSpec) -> SolutionOrbits:
