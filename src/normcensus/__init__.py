@@ -30,10 +30,8 @@ from .census import (
     CensusVerdict,
     EquationSpec,
     c_m,
-    classify_primes,
     equation_spec,
     neg_pell_solvable,
-    pell34_criterion,
     verdict,
 )
 from .counting import (
@@ -78,10 +76,8 @@ __all__ = [
     "CensusVerdict",
     "EquationSpec",
     "c_m",
-    "classify_primes",
     "equation_spec",
     "neg_pell_solvable",
-    "pell34_criterion",
     "verdict",
     "SolutionOrbits",
     "fundamental_solutions",

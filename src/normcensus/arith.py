@@ -317,44 +317,28 @@ def sqrt_roots_mod(a: int, factors: Iterable[tuple[int, int]]) -> list[int]:
     return sorted(roots)
 
 
-def _split_valuation(x: Fraction, p: int) -> tuple[int, Fraction]:
-    # x = p^v * u with u a p-adic unit; returns (v, u).
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    # n = p^v * u with p not dividing u, for n nonzero; returns (v, u).
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, n
 
 
-def _unit_mod(u: Fraction, p: int, modulus: int) -> int:
-    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+def _hilbert_int(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b and a prime p; p is not checked.
 
-
-def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b)_v for v a prime or math.inf.
-
-    For odd p, with a = p^alpha u and b = p^beta w (u, w units):
+    For odd p, with a = p^alpha u and b = p^beta w (u, w prime to p):
         (a,b)_p = (-1/p)^(alpha*beta) * (u/p)^beta * (w/p)^alpha.
     For p = 2 the epsilon/omega formula on the unit parts:
         (a,b)_2 = (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u))
     where eps(u) = (u-1)/2 mod 2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert_symbol needs nonzero arguments")
-    if place == math.inf:
-        return -1 if a < 0 and b < 0 else 1
-    p = place
-    if not isinstance(p, int) or p < 2 or not is_prime(p):
-        raise ValueError(f"invalid place {place!r}")
-    alpha, u = _split_valuation(a, p)
-    beta, w = _split_valuation(b, p)
+    alpha, u = _valuation(a, p)
+    beta, w = _valuation(b, p)
     if p == 2:
-        u8, w8 = _unit_mod(u, 2, 8), _unit_mod(w, 2, 8)
+        u8, w8 = u % 8, w % 8
         eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
         om_u, om_w = (u8 * u8 - 1) // 8 % 2, (w8 * w8 - 1) // 8 % 2
         return -1 if (eps_u * eps_w + alpha * om_w + beta * om_u) % 2 else 1
@@ -362,7 +346,23 @@ def hilbert_symbol(a, b, place) -> int:
     if alpha * beta % 2 and p % 4 == 3:
         sym = -sym
     if beta % 2:
-        sym *= kronecker(_unit_mod(u, p, p), p)
+        sym *= kronecker(u, p)
     if alpha % 2:
-        sym *= kronecker(_unit_mod(w, p, p), p)
+        sym *= kronecker(w, p)
     return sym
+
+
+def hilbert_symbol(a, b, place) -> int:
+    """Hilbert symbol (a, b)_v for nonzero rationals a, b and v a prime or
+    math.inf (ValueError otherwise).  A fraction n/q is read as the integer
+    n*q, which differs from it by the square q^2 (formulas: _hilbert_int)."""
+    a, b = Fraction(a), Fraction(b)
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
+    if a == 0 or b == 0:
+        raise ValueError("hilbert_symbol needs nonzero arguments")
+    if place == math.inf:
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    if not isinstance(p, int) or p < 2 or not is_prime(p):
+        raise ValueError(f"invalid place {place!r}")
+    return _hilbert_int(a, b, p)

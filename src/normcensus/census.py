@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Factorization, InvariantError, factorize, kronecker, sqrt_mod_prime_power
+from .arith import Factorization, InvariantError, _hilbert_int, factorize, kronecker
 from .classgroup import class_group, frobenius_class, sign_class
 from .counting import SolutionOrbits, fundamental_solutions
-from .localdata import locally_solvable
 from .quadfield import FieldData, field_data
 
 
@@ -43,41 +42,6 @@ class EquationSpec:
 def equation_spec(d: int, m: int) -> EquationSpec:
     fd = field_data(d)
     return EquationSpec(d, fd.D, m, factorize(m), fd)
-
-
-@dataclass(frozen=True)
-class PrimeClassification:
-    p: int
-    e: int
-    category: str  # "split" | "inert" | "ramified"
-    pi: int | None  # Pi_1..Pi_4 tag for d=34, p coprime to 34
-
-
-def _pi_tag_34(p: int) -> int:
-    k2, k17 = kronecker(2, p), kronecker(17, p)
-    if k2 == -1 and k17 == -1:
-        return 1
-    if k2 == 1 and k17 == 1:
-        # quartic symbol ((-7+4*sqrt(2))/p); independent of the root chosen
-        # since (-7+4r)(-7-4r) = 17 is a residue here
-        r = sqrt_mod_prime_power(2, p, 1)
-        return 3 if kronecker(-7 + 4 * r, p) == 1 else 4
-    return 2
-
-
-def classify_primes(spec: EquationSpec) -> list[PrimeClassification]:
-    """Splitting category of every prime of m, with Pi tags when d = 34."""
-    out = []
-    for p, e in spec.m_fact.factors:
-        if spec.D % p == 0:
-            cat = "ramified"
-        else:
-            cat = "split" if kronecker(spec.D, p) == 1 else "inert"
-        pi = None
-        if spec.d == 34 and p not in (2, 17):
-            pi = _pi_tag_34(p)
-        out.append(PrimeClassification(p, e, cat, pi))
-    return out
 
 
 def c_m(spec: EquationSpec) -> int:
@@ -127,11 +91,11 @@ class CensusVerdict:
     witness: tuple[int, int] | None
     orbits: SolutionOrbits
     calibration: float | None
-    m1: int | None = None
 
 
-def _finish(spec: EquationSpec, local: dict[int, bool], c: int, m1: int | None = None) -> CensusVerdict:
-    # shared by verdict and pell34_criterion: the orbits must agree with the criterion
+def _finish(spec: EquationSpec, local: dict[int, bool], c: int) -> CensusVerdict:
+    # verdict's tail, shared with the d = 34 closed form in tests/pell34_oracle.py:
+    # the orbits must agree with the criterion
     solvable = all(local.values()) and c > 0
     orbits = fundamental_solutions(spec)
     if solvable != (orbits.orbit_count > 0):
@@ -147,7 +111,7 @@ def _finish(spec: EquationSpec, local: dict[int, bool], c: int, m1: int | None =
             key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy[0] < 0, xy[1] < 0),
         )
     calibration = orbits.slope / slope if solvable else None
-    return CensusVerdict(spec.d, spec.m, local, c, solvable, slope, witness, orbits, calibration, m1)
+    return CensusVerdict(spec.d, spec.m, local, c, solvable, slope, witness, orbits, calibration)
 
 
 def verdict(spec: EquationSpec) -> CensusVerdict:
@@ -158,61 +122,10 @@ def verdict(spec: EquationSpec) -> CensusVerdict:
     Raises InvariantError when the criterion and the orbits disagree.
     """
     places = sorted({2, *spec.field.primes, *(p for p, _ in spec.m_fact.factors)})
-    local = {p: locally_solvable(spec, p) for p in places}
+    # locally_solvable at each place; the places come from factorizations, so
+    # the symbol's primality check is skipped
+    local = {p: _hilbert_int(spec.d, spec.m, p) == 1 for p in places}
     return _finish(spec, local, c_m(spec))
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def pell34_criterion(m: int) -> CensusVerdict:
-    """Closed-form criterion for x^2 - 34 y^2 = m.
-
-    Write m = (-1)^s0 * 2^s1 * 17^s2 * prod p_i^e_i and split the p_i by the
-    residue symbols of 2 and 17: Pi_1 both non-residues, Pi_2 with 34 a
-    non-residue, Pi_3/Pi_4 both residues with quartic symbol +1/-1.  The
-    character sum collapses to three terms (trivial, quadratic, and the
-    conjugate quartic pair); m is representable iff it is positive mod 8 data
-    (m1 = +-1 mod 8 for m1 = (-1)^s0 * prod_{Pi_1} p_i^e_i), (m1/17) = 1,
-    every odd-exponent p_i has (34/p_i) = 1, and the sum is nonzero.
-    """
-    spec = equation_spec(34, m)
-    s0 = 1 if m < 0 else 0
-    s2 = spec.m_fact.exponent_of(17)
-    tagged = [(c.p, c.e, c.pi) for c in classify_primes(spec) if c.pi is not None]
-    pi1 = [(p, e) for p, e, t in tagged if t == 1]
-    pi3 = [(p, e) for p, e, t in tagged if t == 3]
-    pi4 = [(p, e) for p, e, t in tagged if t == 4]
-    m1 = (-1) ** s0 * _prod(p**e for p, e in pi1)
-    local = {2: m1 % 8 in (1, 7), 17: kronecker(m1, 17) == 1}
-    for p, e, t in tagged:
-        local[p] = e % 2 == 0 or kronecker(34, p) == 1
-
-    # trivial character; quadratic character (Pi_1 classes square to -1,
-    # Pi_4 classes to +1); the conjugate quartic pair, whose
-    # Pi_1 factor is 0 for odd exponent and (-1)^(e/2) for even
-    term1 = _prod(1 + e for p, e, t in tagged if t != 2)
-    term2 = _prod((-1) ** e * (1 + e) for _, e in pi1) * _prod(
-        1 + e for _, e in pi3 + pi4
-    )
-    quartic_pi1 = _prod(
-        0 if e % 2 else (-1) ** (e // 2) for _, e in pi1
-    )
-    term3 = (
-        2
-        * (-1) ** (s0 + s2)
-        * quartic_pi1
-        * _prod(1 + e for _, e in pi3)
-        * _prod((-1) ** e * (1 + e) for _, e in pi4)
-    )
-    c = term1 + term2 + term3
-    if c < 0:
-        raise InvariantError(f"closed-form character sum {c} < 0 for m={m}")
-    return _finish(spec, local, c, m1)
 
 
 def neg_pell_solvable(delta: int) -> bool:

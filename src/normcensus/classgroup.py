@@ -218,6 +218,12 @@ class NarrowClassGroup:
         s = math.isqrt(self.D)
         return {g: i for i, f in enumerate(self.forms) for g in _cycle(f, self.D, s)}
 
+    @cached_property
+    def _prime_classes(self) -> dict[int, int]:
+        # p -> frobenius_class(self, p), -1 -> sign_class(self); like _class_of
+        # it stays out of equality, hash and repr
+        return {}
+
     def _lookup(self, f: Form) -> int:
         return self._class_of[_reduced(f, self.D, math.isqrt(self.D))]
 
@@ -396,7 +402,13 @@ def frobenius_class(G: NarrowClassGroup, p: int) -> int:
 
     Defined up to inversion for split p (the choice between the two primes
     above p); the smallest valid b in [0, 2p) is used.  Inert p is rejected.
+    The answer is memoized on G.
     """
+    if p < 2:
+        raise ValueError(f"p={p} is not a prime")
+    memo = G._prime_classes
+    if p in memo:
+        return memo[p]
     D = G.D
     if kronecker(D, p) == -1:
         raise ValueError(f"p={p} is inert: no prime form exists")
@@ -405,15 +417,20 @@ def frobenius_class(G: NarrowClassGroup, p: int) -> int:
             break
         f = Form(p, b, (b * b - D) // (4 * p))
         if f.is_primitive():
-            return G.index_of(f)
+            memo[p] = G.index_of(f)
+            return memo[p]
     raise ValueError(f"no primitive prime form above p={p}")  # pragma: no cover
 
 
 def sign_class(G: NarrowClassGroup) -> int:
-    """Class of a form representing -1; trivial iff the fundamental unit has norm -1."""
-    D = G.D
-    if D % 4 == 0:
-        f = Form(-1, 0, D // 4)
-    else:
-        f = Form(-1, 1, (D - 1) // 4)
-    return G.index_of(f)
+    """Class of a form representing -1; trivial iff the fundamental unit has
+    norm -1.  The answer is memoized on G."""
+    memo = G._prime_classes
+    if -1 not in memo:
+        D = G.D
+        if D % 4 == 0:
+            f = Form(-1, 0, D // 4)
+        else:
+            f = Form(-1, 1, (D - 1) // 4)
+        memo[-1] = G.index_of(f)
+    return memo[-1]

@@ -3,19 +3,24 @@ census tables, exact counts, local densities, and c_n(a) values.
 
 Output is JSON by default (deterministic field order, big integers as decimal
 strings, rationals as "num/den") or TSV with --tsv.  Exit codes: 0 success,
-2 invalid input, 3 internal invariant violation.
+2 invalid input, 3 internal invariant violation.  A census writes each row
+as it computes it, so an exit 3 on a later row leaves the earlier rows on
+stdout; with --out it leaves no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import re
 import sys
+from array import array
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Any
+from typing import Any, TextIO
 
 from .census import equation_spec, verdict
 from .classgroup import class_group
@@ -37,27 +42,63 @@ def _num(x: Any) -> Any:
 
 
 def _emit(report: dict[str, Any], args: argparse.Namespace) -> None:
-    if args.tsv:
-        lines = []
-        if "rows" in report:
-            cols = list(report["rows"][0].keys()) if report["rows"] else []
-            lines.append("\t".join(cols))
-            for row in report["rows"]:
-                lines.append("\t".join(str(_num(row[c])) for c in cols))
-            for key, val in report.items():
-                if key != "rows":
-                    lines.append(f"# {key}\t{_json_str(val)}")
+    # A census's "rows" is a generator that fills the summary after its last
+    # row.  The first row is computed before anything is written, so an error
+    # there (a bad d) leaves no output.  --out is renamed into place complete,
+    # so a failure leaves PATH as it was; a device or a pipe is written in place.
+    rows = report.get("rows")
+    if rows is not None:
+        rows = itertools.chain([next(rows)], rows)
+    write = _write_tsv if args.tsv else _write_json
+    if not args.out:
+        write(report, rows, sys.stdout)
+        return
+    target = os.path.realpath(args.out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w") as fh:
+            write(report, rows, fh)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            write(report, rows, fh)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, target)
+
+
+def _write_json(report: dict[str, Any], rows: Iterator[dict[str, Any]] | None, fh: TextIO) -> None:
+    # the same text as json.dumps of the report with "rows" as a list
+    if rows is None:
+        fh.write(_json_str(report) + "\n")
+        return
+    fh.write("{")
+    for i, (key, val) in enumerate(report.items()):
+        fh.write(f"{', ' if i else ''}{_ENCODER.encode(key)}: ")
+        if key == "rows":
+            fh.write("[")
+            for j, row in enumerate(rows):
+                fh.write(f"{', ' if j else ''}{_json_str(row)}")
+            fh.write("]")
         else:
-            for key, val in report.items():
-                lines.append(f"{key}\t{_json_str(val)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json_str(report) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.write(_json_str(val))
+    fh.write("}\n")
+
+
+def _write_tsv(report: dict[str, Any], rows: Iterator[dict[str, Any]] | None, fh: TextIO) -> None:
+    # a table of the rows, if any, then one line per other key
+    cols: list[str] = []
+    for row in rows or ():
+        if not cols:
+            cols = list(row)
+            fh.write("\t".join(cols) + "\n")
+        fh.write("\t".join(str(_num(row[c])) for c in cols) + "\n")
+    prefix = "" if rows is None else "# "
+    for key, val in report.items():
+        if key != "rows":
+            fh.write(f"{prefix}{key}\t{_json_str(val)}\n")
 
 
 def _json_default(x: Any) -> Any:
@@ -74,8 +115,11 @@ def _walk(x: Any) -> Any:
     return _num(x)
 
 
+_ENCODER = json.JSONEncoder(default=_json_default)  # json.dumps(x, default=...) builds one per call
+
+
 def _json_str(x: Any) -> str:
-    return json.dumps(_walk(x), default=_json_default)
+    return _ENCODER.encode(_walk(x))
 
 
 def _threads() -> None:
@@ -141,25 +185,40 @@ def _census_row(d: int, m: int, exponents: list[int]) -> dict[str, Any]:
     return row
 
 
+def _census_rows(d: int, ms: Iterable[int], exponents: list[int], summary: dict[str, Any]) -> Iterator[dict[str, Any]]:
+    # holds no row, only the calibrations (8 bytes each), and fills summary
+    # after the last row: a running sum would not give the floats of sum(),
+    # which compensates rounding from Python 3.12 on
+    rows = solvable = 0
+    cals = array("d")
+    for m in ms:
+        row = _census_row(d, m, exponents)
+        rows += 1
+        solvable += row["solvable"]
+        if row["calibration"] is not None:
+            cals.append(row["calibration"])
+        yield row
+    summary["rows"] = rows
+    summary["solvable"] = solvable
+    if cals:
+        mean = sum(cals) / len(cals)
+        summary["calibration_mean"] = mean
+        summary["calibration_rel_spread"] = (max(cals) - min(cals)) / mean
+
+
 def _cmd_census(args: argparse.Namespace) -> dict[str, Any]:
     match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.m_range)
     if match is None:
         raise ValueError(f"--m-range must look like A..B, got {args.m_range!r}")
     lo, hi = int(match.group(1)), int(match.group(2))
-    ms = [m for m in range(lo, hi + 1) if m != 0]
-    if not ms:
+    if not any(range(lo, hi + 1)):  # no nonzero m; stops at the first one
         raise ValueError(f"m range {args.m_range} is empty")
     if args.T_exponents is not None and not re.fullmatch(r"\d+(,\d+)*", args.T_exponents):
         raise ValueError(f"--T-exponents must be nonnegative integers k1,k2,..., got {args.T_exponents!r}")
     exponents = [int(k) for k in args.T_exponents.split(",")] if args.T_exponents else []
     _threads()
-    rows = [_census_row(args.d, m, exponents) for m in ms]
-    cals = [r["calibration"] for r in rows if r["calibration"] is not None]
-    summary: dict[str, Any] = {"rows": len(rows), "solvable": sum(r["solvable"] for r in rows)}
-    if cals:
-        mean = sum(cals) / len(cals)
-        summary["calibration_mean"] = mean
-        summary["calibration_rel_spread"] = (max(cals) - min(cals)) / mean
+    summary: dict[str, Any] = {}
+    rows = _census_rows(args.d, (m for m in range(lo, hi + 1) if m != 0), exponents, summary)
     return {"d": args.d, "m_range": [lo, hi], "rows": rows, "summary": summary}
 
 
@@ -254,15 +313,17 @@ def main(argv: list[str] | None = None) -> int:
         else:
             fused.append(tok)
     args = parser.parse_args(fused)
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.11 and 3.10.7+ cap it at 4300
+        sys.set_int_max_str_digits(0)  # read and print integers of any length
     try:
-        report = args.func(args)
+        # a census computes its rows while _emit writes them
+        _emit(args.func(args), args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args)
     return 0
 
 

@@ -14,6 +14,8 @@ polynomial in log|m| plus the cycle length, O(log eps); a scan over y would
 take O(sqrt(|m| eps / d)) steps (tests/yscan_oracle.py keeps it as a check).
 SolutionOrbits.count is exact for any T >= 0, by binary lifting over eps^(2^j)
 (tests/walk_oracle.py keeps the step-by-step walk it replaced as a check).
+The window is symmetric under z -> -z, which keeps heights, so the orbits
+come in pairs +-z with equal counts: count walks one of each and doubles it.
 SolutionOrbits.slope is the exact coefficient of log T; census.verdict
 compares it with the slope that c_m predicts.
 """
@@ -49,13 +51,22 @@ class SolutionOrbits:
         squares eps^(2^j) until a product's height exceeds T and binary-lifts
         back down that ladder.  Only integer heights are compared, and an
         orbit costs O(log(log T / log eps)) products.
+
+        -z * eps^k has the height of z * eps^k, so a representative whose
+        negation is also listed is counted for both; any other counts once.
         """
         if T < 0:
             raise ValueError("T must be nonnegative")
         eps = self.spec.field.eps
         ladders = ([eps], [eps.conj()])  # eps^(2^j) and eps^(-2^j), grown on demand
         total = 0
+        pending = set(self.representatives)
         for rep in self.representatives:
+            if rep not in pending:
+                continue  # the mirror of an orbit already counted
+            pending.discard(rep)
+            weight = 2 if -rep in pending else 1
+            pending.discard(-rep)
             z, h = rep, rep.height()
             for ladder in ladders:
                 w = z * ladder[0]
@@ -63,7 +74,7 @@ class SolutionOrbits:
                     z, h, w = w, hw, w * ladder[0]
             if h > T:
                 continue
-            total += 1
+            total += weight
             for ladder in ladders:
                 # height(z * eps^(+-n)) never falls as n grows: n ends as the
                 # largest n at which it is <= T
@@ -79,7 +90,7 @@ class SolutionOrbits:
                     w = cur * ladder[i]
                     if w.height() <= T:
                         cur, n = w, n + (1 << i)
-                total += n
+                total += weight * n
         return total
 
     @property

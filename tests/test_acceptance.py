@@ -13,7 +13,6 @@ from normcensus.census import (
     c_m,
     equation_spec,
     neg_pell_solvable,
-    pell34_criterion,
     verdict,
 )
 from normcensus.classgroup import class_group, frobenius_class, sign_class
@@ -22,6 +21,7 @@ from normcensus.hassewitt import arch_h_limit, c_n_a, diagonalize, hasse_invaria
 from normcensus.localdata import arch_volume_hyperbola, lemvol_coefficient, local_density
 from normcensus.quadfield import field_data
 from brute_oracle import brute_count
+from pell34_oracle import pell34_criterion
 from yscan_oracle import yscan_orbits
 
 

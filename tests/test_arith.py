@@ -155,6 +155,25 @@ def test_hilbert_anchor_values():
     assert hilbert_symbol(Fraction(3, 2), Fraction(1, 3), 2) == 1
 
 
+def test_hilbert_fraction_reads_as_integer():
+    # n/q and n*q differ by the square q^2, so they have the same symbol
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        q = rng.randint(1, 10**4)
+        b = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        v = rng.choice([2, 3, 5, 7, 11, 13, 10007, math.inf])
+        assert hilbert_symbol(Fraction(n, q), b, v) == hilbert_symbol(n * q, b, v), (n, q, b, v)
+
+
+def test_hilbert_validates_place():
+    for place in (9, 4, 1, 0, -3, 2.0):
+        with pytest.raises(ValueError):
+            hilbert_symbol(3, 5, place)
+    with pytest.raises(ValueError):
+        hilbert_symbol(Fraction(0), 5, 3)
+
+
 def test_hilbert_bilinear_symmetric():
     rng = random.Random(13)
     places = [2, 3, 5, 7, math.inf]

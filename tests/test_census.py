@@ -3,13 +3,12 @@ import pytest
 from charsum_oracle import CycInt, c_m_charsum, characters, delta_p
 from normcensus.census import (
     c_m,
-    classify_primes,
     equation_spec,
     neg_pell_solvable,
-    pell34_criterion,
     verdict,
 )
 from normcensus.classgroup import class_group
+from pell34_oracle import classify_primes, pell34_criterion
 
 # Character-sum values for x^2 - 34 y^2 = m, frozen from the closed-form
 # case analysis (they also pin the slope ratios downstream).

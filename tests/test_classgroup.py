@@ -257,3 +257,26 @@ def test_group_lookup_behaviour_unchanged():
     for i, f in enumerate(G.forms):
         t = Form(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
         assert K.index_of(t) == G.index_of(t) == i
+
+
+def test_prime_class_memo_stays_out_of_identity():
+    # frobenius_class and sign_class store their answers on the group, not
+    # in its fields, and a rebuilt group starts with an empty memo
+    class_group.cache_clear()
+    G = class_group(53832)
+    before = (repr(G), hash(G))
+    want = {p: frobenius_class(G, p) for p in (2, 3, 7, 13, 23)}
+    want[-1] = sign_class(G)
+    assert G._prime_classes == want
+    assert (repr(G), hash(G)) == before and "_prime_classes" not in repr(G)
+    assert {p: frobenius_class(G, p) for p in (2, 3, 7, 13, 23)} == {p: want[p] for p in (2, 3, 7, 13, 23)}
+    assert sign_class(G) == want[-1]
+    class_group.cache_clear()
+    H = class_group(53832)
+    assert H == G and hash(H) == hash(G) and H._prime_classes == {}
+    for p in (1, 0, -1):
+        with pytest.raises(ValueError):
+            frobenius_class(H, p)
+    with pytest.raises(ValueError):
+        frobenius_class(H, 5)  # inert
+    assert H._prime_classes == {}

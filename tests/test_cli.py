@@ -10,8 +10,11 @@ import pytest
 
 import normcensus
 from normcensus import census, cli, counting
-from normcensus.arith import factorize
-from normcensus.census import equation_spec, pell34_criterion
+from normcensus.arith import InvariantError, factorize, kronecker
+from normcensus.census import equation_spec
+from normcensus.classgroup import NarrowClassGroup, class_group
+from normcensus.counting import fundamental_solutions
+from pell34_oracle import pell34_criterion
 from brute_oracle import brute_count
 from yscan_oracle import yscan_orbits
 
@@ -344,3 +347,132 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verdict", boom)
     rc, _, err = run(capsys, "solve", "34", "1")
     assert rc == 3 and "invariant" in err
+
+
+def test_count_beyond_4300_digits(capsys):
+    # Python 3.11+ refuses to convert integers over 4,300 digits by default
+    digits = "1" + "0" * 5000
+    obj = run_json(capsys, "count", "34", "33", digits)
+    assert obj["T"] == digits
+    assert obj["count"] == fundamental_solutions(equation_spec(34, 33)).count(10**5000)
+
+
+def test_census_looks_up_each_prime_class_once(capsys, monkeypatch):
+    # frobenius_class and sign_class are memoized on the group, so a census
+    # over one field looks each class up once, however many rows share it
+    looked_up = []
+    real = NarrowClassGroup.index_of
+
+    def counted(self, f):
+        looked_up.append(f.a)
+        return real(self, f)
+
+    monkeypatch.setattr(NarrowClassGroup, "index_of", counted)
+    class_group.cache_clear()
+    run_json(capsys, "census", "34", "--m-range=-200..200")
+    primes = {p for m in range(1, 201) for p, _ in factorize(m).factors if kronecker(136, p) != -1}
+    assert sorted(looked_up) == sorted(primes | {-1})
+
+
+def _full_census_report(d, lo, hi, exponents):
+    # the report as one object, the way the census was built before it streamed
+    rows = [cli._census_row(d, m, exponents) for m in range(lo, hi + 1) if m != 0]
+    cals = [r["calibration"] for r in rows if r["calibration"] is not None]
+    summary = {"rows": len(rows), "solvable": sum(r["solvable"] for r in rows)}
+    if cals:
+        mean = sum(cals) / len(cals)
+        summary["calibration_mean"] = mean
+        summary["calibration_rel_spread"] = (max(cals) - min(cals)) / mean
+    return {"d": d, "m_range": [lo, hi], "rows": rows, "summary": summary}
+
+
+def test_streamed_census_equals_full_report(tmp_path, capsys):
+    for d, lo, hi in [(34, -30, 30), (5, -12, 7), (331, -3, 3)]:
+        report = _full_census_report(d, lo, hi, [2, 100])
+        cols = list(report["rows"][0])
+        tsv = ["\t".join(cols)]
+        tsv += ["\t".join(str(cli._num(r[c])) for c in cols) for r in report["rows"]]
+        tsv += [f"# {k}\t{json.dumps(cli._walk(v))}" for k, v in report.items() if k != "rows"]
+        want = {"json": json.dumps(cli._walk(report)) + "\n", "tsv": "\n".join(tsv) + "\n"}
+        argv = ["census", str(d), f"--m-range={lo}..{hi}", "--T-exponents", "2,100"]
+        for fmt, extra in (("json", []), ("tsv", ["--tsv"])):
+            rc, out, _ = run(capsys, *extra, *argv)
+            assert rc == 0 and out == want[fmt], (d, fmt)
+            target = tmp_path / f"{d}.{fmt}"
+            rc, out, _ = run(capsys, *extra, *argv, "--out", str(target))
+            assert rc == 0 and out == "" and target.read_text() == want[fmt], (d, fmt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{d}.{fmt}" for d in (34, 5, 331) for fmt in ("json", "tsv")
+    )
+
+
+def test_census_memory_stays_flat(tmp_path, capsys):
+    # rows are written as they are computed, so ten times the rows must not
+    # raise the traced peak; held rows took about 1.3 KB each
+    import tracemalloc
+
+    out = str(tmp_path / "census.json")
+    assert cli.main(["census", "34", "--m-range=-5..5", "--out", out]) == 0  # warm the caches
+    tracemalloc.start()
+    try:
+        assert cli.main(["census", "34", "--m-range=-100..100", "--T-exponents", "2,100", "--out", out]) == 0
+        small = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert cli.main(["census", "34", "--m-range=-1000..1000", "--T-exponents", "2,100", "--out", out]) == 0
+        large = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "census.json").read_text())["rows"]) == 2000
+    assert large - small < 0.5 * 2**20, (small, large)
+
+
+def test_census_failure_on_a_later_row(tmp_path, capsys, monkeypatch):
+    real = cli.verdict
+
+    def failing(spec):
+        if spec.m == 5:
+            raise InvariantError("planted failure")
+        return real(spec)
+
+    monkeypatch.setattr(cli, "verdict", failing)
+    target = tmp_path / "census.json"
+    rc, out, err = run(capsys, "census", "34", "--m-range=1..9", "--out", str(target))
+    assert rc == 3 and out == "" and "planted failure" in err
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary
+    # on stdout the rows before the failure are already written
+    rc, out, err = run(capsys, "census", "34", "--m-range=1..9")
+    assert rc == 3 and "planted failure" in err
+    assert out.startswith('{"d": 34, "m_range": [1, 9], "rows": [{"m": 1, ')
+    assert '{"m": 4, ' in out and '"m": 5' not in out
+
+
+def test_census_bad_d_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "census.json"
+    for extra in ([], ["--tsv"], ["--out", str(target)]):
+        rc, out, err = run(capsys, *extra, "census", "12", "--m-range=1..3")
+        assert rc == 2 and out == "" and "not squarefree" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_census_out_to_a_pipe_and_through_a_link(tmp_path, capsys):
+    # a pipe is written in place, not replaced by a file; a symlink is
+    # written through, so it still points at the report
+    import threading
+
+    argv = ["census", "34", "--m-range=-6..6", "--T-exponents", "2,100"]
+    _, want, _ = run(capsys, *argv)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    rc = cli.main([*argv, "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert not reader.is_alive() and rc == 0 and got == [want]
+    assert fifo.is_fifo()
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old")
+    link.symlink_to(real)
+    assert cli.main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from normcensus.arith import factorize
 from normcensus.census import c_m, equation_spec, verdict
 from normcensus.classgroup import class_group
-from normcensus.counting import _window_reduce, fundamental_solutions
+from normcensus.counting import SolutionOrbits, _window_reduce, fundamental_solutions
 from normcensus.quadfield import QuadElem
 from brute_oracle import brute_count
 from charsum_oracle import c_m_charsum
@@ -187,6 +187,24 @@ def _count_cases(draw):
 def test_count_matches_walk_random(case):
     orbits, T = case
     assert orbits.count(T) == walk_count(orbits, T), (orbits.spec.d, orbits.spec.m, T)
+
+
+def test_count_on_orbits_not_closed_under_negation():
+    # count weighs a representative 2 when its negation is also listed; on
+    # hand-built orbits that drop one side of some pairs it must count the
+    # rest once each, as the walk does
+    for d, m in [(34, 33), (5, -11), (13, 27), (2, -119), (13458, 49)]:
+        full = fundamental_solutions(equation_spec(d, m))
+        reps = full.representatives
+        assert set(reps) == {-z for z in reps}, (d, m)
+        one_side = tuple(z for z in reps if (z.a, z.b) > (-z.a, -z.b))
+        subsets = [one_side, reps[:1], reps[: len(reps) // 2 + 1], one_side + (-one_side[0],)]
+        for sub in subsets:
+            orbits = SolutionOrbits(full.spec, sub, len(sub))
+            for T in (0, 1, 10, 10**3, 10**9, 10**40):
+                assert orbits.count(T) == walk_count(orbits, T), (d, m, sub, T)
+        for T in (10**3, 10**40):
+            assert full.count(T) == 2 * SolutionOrbits(full.spec, one_side, len(one_side)).count(T)
 
 
 def test_count_at_huge_T():
