@@ -4,6 +4,7 @@ for the variety of symmetric matrices with fixed determinant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,26 +147,34 @@ def c_n_a(n: int, a: int, ratios: Mapping[int, Rational] | None = None) -> CnaRe
 
 
 def isometry_count_mod8(L: Sequence[Sequence[int]]) -> int:
-    """#{X in M_3(Z/8) : X^T L X = L (mod 8)} for a small integral Gram matrix."""
-    import numpy as np
+    """#{X in M_3(Z/8) : X^T L X = L (mod 8)} for a small integral Gram matrix.
 
-    A = np.array(L, dtype=np.int64)
-    if A.shape != (3, 3) or not np.array_equal(A, A.T):
+    The columns of X are the vectors v_1, v_2, v_3 of (Z/8)^3 with
+    v_i^T L v_j = L_ij; the count runs over v_1, then the v_2 and v_3 that
+    pair correctly with it, then the pairs (v_2, v_3).
+    """
+    A = [list(row) for row in L]
+    if len(A) != 3 or any(len(row) != 3 for row in A) or any(
+        A[i][j] != A[j][i] for i in range(3) for j in range(i)
+    ):
         raise ValueError("L must be a symmetric 3x3 integer matrix")
-    if np.abs(A).max() > 8:
+    if max(abs(x) for row in A for x in row) > 8:
         raise ValueError("entries must be small (|entry| <= 8)")
-    idx = np.arange(512)
-    V = np.stack([idx % 8, (idx // 8) % 8, (idx // 64) % 8], axis=1)
-    G = (V @ A @ V.T) % 8
-    diag = G.diagonal()
-    t = A % 8
-    c1s = np.nonzero(diag == t[0, 0])[0]
-    d2 = diag == t[1, 1]
-    d3 = diag == t[2, 2]
+    t = [[x % 8 for x in row] for row in A]
+    # each vector with L v, so that u^T L v is one dot product
+    pairs = [
+        (v, tuple(sum(a * x for a, x in zip(row, v)) for row in A))
+        for v in itertools.product(range(8), repeat=3)
+    ]
+
+    def dot(u: tuple[int, ...], w: tuple[int, ...]) -> int:
+        return (u[0] * w[0] + u[1] * w[1] + u[2] * w[2]) % 8
+
+    norm = [[(v, Lv) for v, Lv in pairs if dot(v, Lv) == t[i][i]] for i in range(3)]
     count = 0
-    for i1 in c1s:
-        m2 = np.nonzero(d2 & (G[i1] == t[0, 1]))[0]
-        m3 = d3 & (G[i1] == t[0, 2])
-        for i2 in m2:
-            count += int(np.count_nonzero(m3 & (G[i2] == t[1, 2])))
+    for _, Lv1 in norm[0]:
+        col2 = [Lv for v, Lv in norm[1] if dot(v, Lv1) == t[0][1]]
+        col3 = [v for v, _ in norm[2] if dot(v, Lv1) == t[0][2]]
+        for Lv2 in col2:
+            count += sum(1 for v in col3 if dot(v, Lv2) == t[1][2])
     return count

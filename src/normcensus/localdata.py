@@ -1,9 +1,13 @@
 """Local data for the norm equation: Z_p solvability (one Hilbert symbol),
-p-adic densities by residue counts, archimedean volumes, and the volume
-coefficients of the asymptotic formula.
+exact p-adic densities, archimedean volumes, and the volume coefficients of
+the asymptotic formula.
 
-numpy is imported by the density scans only, so the solve, census and count
-paths never load it.
+A density is a count of solutions mod p^k, taken by a recursion on the
+p-adic valuation.  The solutions v = p w reduce to the same count for m/p^2
+mod p^(k-2); the primitive ones follow from their count mod p (or mod 2^5
+at p = 2 when 2 | D) by Hensel's lemma, because the gradient of the norm
+form has bounded valuation on primitive vectors (local_density gives the
+cases).  So a density takes O(k) integer steps and no array memory.
 """
 
 from __future__ import annotations
@@ -12,13 +16,12 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .arith import hilbert_symbol, is_prime
+from .arith import hilbert_symbol, is_prime, kronecker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .census import EquationSpec
 
 _MODULUS_BUDGET = 4 * 10**7
-_CHUNK = 1 << 21
 
 
 def locally_solvable(spec: "EquationSpec", p: int) -> bool:
@@ -37,7 +40,33 @@ def locally_solvable(spec: "EquationSpec", p: int) -> bool:
 
 
 def local_density(spec: "EquationSpec", p: int, k: int) -> Fraction:
-    """#solutions of N = m mod p^k, divided by p^k (exact rational)."""
+    """#solutions of N = m mod p^k, divided by p^k (exact rational).
+
+    With Q = spec.norm_form(), N(m, k) = #{v mod p^k : Q(v) = m mod p^k}
+    splits into v = p w and primitive v.  The imprimitive part is
+    p^(2(k-1)) [p^k | m] for k <= 2 and p^2 N(m/p^2, k-2) [p^2 | m] beyond,
+    since Q(p w) = p^2 Q(w) and each w mod p^(k-2) has p^2 lifts mod p^(k-1).
+    The primitive part follows by Hensel lifting.  On a class a + p^(j-t) Z^2
+    of primitive vectors, t = v_p(grad Q) is constant, and for j >= 2t + 1,
+    Q(a + p^(j-t) h) = Q(a) + p^(j-t) grad Q(a).h mod p^(j+1): Q mod p^j is
+    constant on the class, and mod p^(j+1) one linear condition mod p on h
+    picks the solutions, so the class holds p times as many solutions
+    mod p^(j+1) as mod p^j.
+      - p not dividing D (p = 2 with d = 1 mod 4 included): t = 0, so the
+        count is p^(k-1) times the count mod p, which is p - chi if p does
+        not divide m and (p-1)(1 + chi) if it does, chi = (D/p).
+      - odd p | d, e = d/p, on x^2 - d y^2 (for d = 1 mod 4, (2x+y, y) maps
+        to it, with 4m for m): if p does not divide m, each y gives the
+        1 + (m/p) roots of x^2 = m + d y^2, so p^k (1 + (m/p)); if p | m,
+        then x = 0 mod p and y is a unit, so Q has valuation exactly 1 and
+        the count is p - 1 at k = 1, 0 if p^2 | m, and else, with m = p m1,
+        p^k (1 + (-m1 e/p)) from the roots y of e y^2 = p x1^2 - m1.
+      - p = 2 with d = 2, 3 mod 4: a primitive v has t = v_2(grad Q(v)) <= 2
+        (2x for x odd, -2dy for y odd, and v_2(d) <= 1), so from j = 5 on
+        the count doubles at each step; it is counted over the 1,024 pairs
+        mod 2^5 and scaled by 2^(k-5).
+    The cost is O(k) steps; p^k is still capped by _MODULUS_BUDGET.
+    """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if k < 1:
@@ -45,43 +74,43 @@ def local_density(spec: "EquationSpec", p: int, k: int) -> Fraction:
     M = p**k
     if M > _MODULUS_BUDGET:
         raise ValueError(f"modulus p^k = {M} exceeds the scan budget")
-    d, m = spec.d, spec.m
-    if d % 4 == 1 and p == 2:
-        count = _pair_count_2adic_half(spec, M)
-        return Fraction(count, M)
-    import numpy as np
-
-    # chunked so the only full-size buffer is the root-count table
-    roots_of = np.zeros(M, dtype=np.int32)
-    for lo in range(0, M, _CHUNK):
-        x = np.arange(lo, min(lo + _CHUNK, M), dtype=np.int64)
-        np.add.at(roots_of, (x * x) % M, 1)
-    if d % 4 == 1:
-        # complete the square: (x + y/2)^2 = (d/4) y^2 + m, p odd
-        coef = d * pow(4, -1, M) % M
-    else:
-        coef = d % M
-    count = 0
-    for lo in range(0, M, _CHUNK):
-        y = np.arange(lo, min(lo + _CHUNK, M), dtype=np.int64)
-        a = (coef * ((y * y) % M) + m) % M
-        count += int(roots_of[a].sum(dtype=np.int64))
-    return Fraction(count, M)
+    m = spec.m
+    count, scale = 0, 1
+    while True:
+        count += scale * _primitive_count(spec, p, k, m)
+        if k <= 2:
+            if m % p**k == 0:
+                count += scale * p ** (2 * (k - 1))
+            return Fraction(count, M)
+        if m % (p * p):
+            return Fraction(count, M)
+        m, k, scale = m // (p * p), k - 2, scale * p * p
 
 
-def _pair_count_2adic_half(spec: "EquationSpec", M: int) -> int:
-    import numpy as np
-
-    d, m = spec.d, spec.m
-    c = (1 - d) // 4
-    x = np.arange(M, dtype=np.int64)
-    count = 0
-    chunk = max(1, (1 << 22) // M)
-    for y0 in range(0, M, chunk):
-        y = np.arange(y0, min(y0 + chunk, M), dtype=np.int64)[:, None]
-        f = (x[None, :] * x[None, :] + x[None, :] * y + (c % M) * (y * y) - m) % M
-        count += int(np.count_nonzero(f == 0))
-    return count
+def _primitive_count(spec: "EquationSpec", p: int, k: int, m: int) -> int:
+    """#{primitive v mod p^k : Q(v) = m mod p^k}, by the cases of local_density."""
+    D, d = spec.D, spec.d
+    if D % p:
+        chi = kronecker(D, p)
+        return p ** (k - 1) * ((p - chi) if m % p else (p - 1) * (1 + chi))
+    if p == 2:
+        j = min(k, 5)
+        M = 1 << j
+        sq = [x * x % M for x in range(M)]
+        hits = sum(
+            1
+            for x in range(M)
+            for y in range(M)
+            if (x | y) & 1 and (sq[x] - d * sq[y] - m) % M == 0
+        )
+        return hits << (k - j)
+    if m % p:
+        return p**k * (1 + kronecker(m, p))
+    if k == 1:
+        return p - 1
+    if m % (p * p) == 0:
+        return 0
+    return p**k * (1 + kronecker(-(m // p) * (d // p), p))
 
 
 def lemvol_coefficient(n: int, r: int, s: int, abs_norm_delta) -> float:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -196,7 +197,7 @@ def test_census_computes_orbits_once_per_row(capsys, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    # nor numpy: only the density scans import it, when they run
+    # nor numpy, which only the test oracles use
     src = str(Path(normcensus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -207,6 +208,47 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_runs_with_numpy_blocked():
+    # sys.modules["numpy"] = None makes any numpy import raise ImportError
+    src = str(Path(normcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [
+        ["density", "5", "3", "2", "12"],
+        ["density", "34", "153", "17", "6"],
+        ["density", "34", "7", "3", "13"],
+        ["solve", "34", "33"],
+        ["census", "34", "--m-range=-6..6", "--T-exponents", "2,100"],
+        ["count", "34", "33", "1000"],
+        ["unit", "34"],
+    ]
+    code = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None
+        from normcensus import cli
+        from normcensus.hassewitt import isometry_count_mod8
+        runs = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                runs.append([cli.main(argv), buf.getvalue()])
+        iso = isometry_count_mod8([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        print(json.dumps({"runs": runs, "iso": iso}))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    for argv, (rc, _) in zip(commands, obj["runs"]):
+        assert rc == 0, argv
+    densities = [json.loads(out)["density"] for _, out in obj["runs"][:3]]
+    assert densities == ["3/2", "2/1", "2/3"]
+    assert obj["iso"] == 6144
 
 
 def test_solve_deep_power_of_two(capsys):

@@ -15,6 +15,7 @@ from normcensus.localdata import (
     local_density,
     locally_solvable,
 )
+from density_oracle import scan_density
 from localsearch_oracle import _search_solvable, _vp
 
 
@@ -124,6 +125,54 @@ def test_density_validates_arguments():
         local_density(spec, 4, 2)
     with pytest.raises(ValueError):
         local_density(spec, 5, 40)  # 5^40 residues is over the scan budget
+
+
+# (p, k_max) for the recursion-vs-scan sweeps: every p^k stays <= 2^12
+_SWEEP_MODULI = ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (17, 2))
+# the scan counts all 4^k pairs at p = 2 when d = 1 mod 4
+_PAIR_SCAN_K_MAX = 8
+
+
+def test_density_recursion_matches_scan_oracle():
+    # d runs over all three classes mod 4 at p = 2, and each odd p above
+    # divides some d (ramified) and not others; m carries p^0 .. p^k
+    for d in (2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 33, 34):
+        for p, k_max in _SWEEP_MODULI:
+            if p == 2 and d % 4 == 1:
+                k_max = _PAIR_SCAN_K_MAX
+            for k in range(1, k_max + 1):
+                for u in (1, -1, 2, -3, 5, 7):
+                    for v in range(k + 1):
+                        spec = equation_spec(d, u * p**v)
+                        got = local_density(spec, p, k)
+                        assert got == scan_density(spec, p, k), (d, spec.m, p, k)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 500).filter(_squarefree),
+    u=st.integers(-500, 500).filter(lambda u: u != 0),
+    pick=st.integers(0, len(_SWEEP_MODULI) - 1),
+    k=st.integers(1, 12),
+    v=st.integers(0, 12),
+)
+def test_density_recursion_matches_scan_oracle_random(d, u, pick, k, v):
+    p, k_max = _SWEEP_MODULI[pick]
+    if p == 2 and d % 4 == 1:
+        k_max = _PAIR_SCAN_K_MAX
+    k = min(k, k_max)
+    spec = equation_spec(d, u * p ** min(v, k))
+    assert local_density(spec, p, k) == scan_density(spec, p, k), (d, spec.m, p, k)
+
+
+def test_density_at_a_large_prime():
+    # p near 10^6 does not divide 2dm: (p - chi)/p with chi = (D/p)
+    p = 999_983
+    for d in (2, 3, 5, 34):
+        for m in (1, -1, 7, -33):
+            spec = equation_spec(d, m)
+            want = Fraction(p - kronecker(spec.D, p), p)
+            assert local_density(spec, p, 1) == want, (d, m)
 
 
 def test_lemvol_frozen_values():
